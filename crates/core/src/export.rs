@@ -538,15 +538,23 @@ mod tests {
         assert_eq!(artifact, back, "JSON round trip must preserve every bit");
 
         // A plan compiled from the artifact matches one compiled from the
-        // live network bit for bit.
+        // live network bit for bit, at both precisions.
         let x = pnc_linalg::Matrix::from_fn(5, 3, |i, j| 0.1 * (i + j) as f64);
-        let mut from_pnn = crate::InferencePlan::compile(&pnn).expect("compiles");
-        let mut from_artifact = crate::InferencePlan::compile_artifact(&back).expect("compiles");
-        assert_eq!(
-            from_pnn.infer(&x).expect("pnn plan"),
-            from_artifact.infer(&x).expect("artifact plan"),
-            "artifact-compiled plan must be bit-identical"
+        let f64_pair = (
+            crate::InferencePlan::compile(&pnn).and_then(|mut p| p.infer(&x)),
+            crate::InferencePlan::compile_artifact(&back).and_then(|mut p| p.infer(&x)),
         );
+        let q16_pair = (
+            crate::InferencePlanQuant::compile(&pnn).and_then(|mut p| p.infer(&x)),
+            crate::InferencePlanQuant::compile_artifact(&back).and_then(|mut p| p.infer(&x)),
+        );
+        for (name, (from_pnn, from_artifact)) in [("f64", f64_pair), ("q16", q16_pair)] {
+            assert_eq!(
+                from_pnn.expect("pnn plan"),
+                from_artifact.expect("artifact plan"),
+                "artifact-compiled {name} plan must be bit-identical"
+            );
+        }
     }
 
     #[test]
