@@ -12,23 +12,20 @@
 //! preallocated buffers — zero allocations and zero graph-walking per
 //! forward, for single samples and micro-batches alike.
 //!
-//! Three precisions share one compiled structure (see DESIGN.md §12 for the
-//! full contract):
+//! One plan type, [`Plan`], runs at two precisions (see DESIGN.md §12 for
+//! the full contract):
 //!
-//! * [`InferencePlan`] — f64, **bit-identical** to the graph path at every
-//!   batch size and thread count.
-//! * [`InferencePlanF32`] — f32 weights, activations, and curve evaluation;
-//!   bounded-error parity (classification agreement is property-tested
-//!   across the 13-dataset suite).
-//! * [`InferencePlanQuant`] — fixed-point Q1.14 `i16` weights and
-//!   activations with `i32` accumulators ([`pnc_linalg::simd::gemm_i16_i32`]);
-//!   curve nonlinearities evaluate in f32 between crossbars. The Q1.14
-//!   scheme is overflow-safe by construction: normalized crossbar columns
-//!   sum to 1, so each accumulator stays below `2·2^15·2^14 < i32::MAX`.
+//! * [`InferencePlan`] (`Plan<F64>`) — f64, **bit-identical** to the graph
+//!   path at every batch size and thread count.
+//! * [`InferencePlanQuant`] (`Plan<Q16>`) — fixed-point Q1.14 `i16`
+//!   weights and activations with `i32` accumulators
+//!   ([`pnc_linalg::simd::gemm_i16_i32`]); curve nonlinearities evaluate in
+//!   f32 between crossbars. The Q1.14 scheme is overflow-safe by
+//!   construction: normalized crossbar columns sum to 1, so each
+//!   accumulator stays below `2·2^15·2^14 < i32::MAX`.
 //!
-//! [`CompiledPnn`] wraps the three behind one API, selected by
-//! [`PlanPrecision`] — programmatically or via the `PNC_INFER_PRECISION`
-//! environment variable.
+//! [`CompiledPnn`] holds either one, selected by [`PlanPrecision`] —
+//! programmatically or via the `PNC_INFER_PRECISION` environment variable.
 //!
 //! Plans capture the *nominal* network: printing variation (a training and
 //! robustness-evaluation concern) stays on the graph path.
@@ -36,9 +33,8 @@
 //! # Examples
 //!
 //! ```no_run
-//! # use pnc_core::{InferencePlan, Pnn, PnnConfig};
+//! # use pnc_core::{InferencePlan, Pnn};
 //! # use pnc_linalg::Matrix;
-//! # use std::sync::Arc;
 //! # fn demo(pnn: &Pnn, x: &Matrix) -> Result<(), pnc_core::PnnError> {
 //! let mut plan = InferencePlan::compile(pnn)?;
 //! let scores = plan.infer(x)?; // bit-identical to pnn.infer(x, None)
@@ -51,7 +47,7 @@ use crate::layer::project_printable;
 use crate::network::Pnn;
 use crate::PnnError;
 use pnc_autodiff::Graph;
-use pnc_linalg::simd::{gemm_f32, gemm_f64, gemm_i16_i32};
+use pnc_linalg::simd::{gemm_f64, gemm_i16_i32};
 use pnc_linalg::{Matrix, ParallelConfig};
 use pnc_obs::Counter;
 
@@ -70,8 +66,8 @@ fn obs_register() {
 }
 
 /// Environment variable selecting the default plan precision for
-/// [`PlanPrecision::from_env`] / [`CompiledPnn::compile_from_env`]:
-/// `f64` (default), `f32`, or `q16` (aliases `i16`, `quant`).
+/// [`PlanPrecision::from_env`]: `f64` (default) or `q16` (aliases `i16`,
+/// `quant`).
 pub const PRECISION_ENV_VAR: &str = "PNC_INFER_PRECISION";
 
 /// Default micro-batch capacity of a compiled plan: forward buffers are
@@ -94,29 +90,30 @@ fn quantize_q14(x: f32) -> i16 {
 pub enum PlanPrecision {
     /// Full f64 — bit-identical to the autodiff-graph forward.
     F64,
-    /// Single precision — bounded-error parity with the f64 plan.
-    F32,
     /// Fixed-point Q1.14 `i16` crossbars with `i32` accumulation.
     QuantI16,
 }
 
 impl PlanPrecision {
-    /// Parses a precision name: `f64`, `f32`, or `q16` (aliases `i16`,
-    /// `quant`), case-insensitively and ignoring surrounding whitespace.
+    /// Parses a precision name: `f64` or `q16` (aliases `i16`, `quant`),
+    /// case-insensitively and ignoring surrounding whitespace.
     ///
     /// # Errors
     ///
     /// Returns [`PnnError::Config`] for any other spelling. There is no
     /// silent fallback: a typo in a deployment config must fail loudly, not
-    /// quietly serve a different numeric contract.
+    /// quietly serve a different numeric contract. `f32`, a precision this
+    /// crate no longer has, gets an error that points to `f64`.
     pub fn parse(raw: &str) -> Result<Self, PnnError> {
         match raw.trim().to_ascii_lowercase().as_str() {
             "f64" => Ok(PlanPrecision::F64),
-            "f32" => Ok(PlanPrecision::F32),
             "q16" | "i16" | "quant" => Ok(PlanPrecision::QuantI16),
+            "f32" => Err(PnnError::Config {
+                detail: "plan precision \"f32\" was removed; use f64, which is faster".to_string(),
+            }),
             other => Err(PnnError::Config {
                 detail: format!(
-                    "unrecognized plan precision {other:?} (expected f64, f32, or q16/i16/quant)"
+                    "unrecognized plan precision {other:?} (expected f64 or q16/i16/quant)"
                 ),
             }),
         }
@@ -124,29 +121,30 @@ impl PlanPrecision {
 
     /// Reads the precision from the `PNC_INFER_PRECISION` environment
     /// variable. Unset means [`Self::F64`]; a set but unrecognized value is
-    /// a hard [`PnnError::Config`] error surfaced to the caller.
+    /// a hard [`PnnError::Config`] error, naming the variable, surfaced to
+    /// the caller.
     ///
     /// # Errors
     ///
     /// Returns [`PnnError::Config`] when the variable is set to anything
-    /// other than `f64`, `f32`, or `q16`/`i16`/`quant`.
+    /// [`Self::parse`] rejects.
     pub fn from_env() -> Result<Self, PnnError> {
         match std::env::var(PRECISION_ENV_VAR) {
-            Ok(raw) => Self::parse(&raw).map_err(|_| PnnError::Config {
-                detail: format!(
-                    "invalid {PRECISION_ENV_VAR}={raw:?} (expected f64, f32, or q16/i16/quant)"
-                ),
+            Ok(raw) => Self::parse(&raw).map_err(|e| match e {
+                PnnError::Config { detail } => PnnError::Config {
+                    detail: format!("invalid {PRECISION_ENV_VAR}={raw:?}: {detail}"),
+                },
+                other => other,
             }),
             Err(_) => Ok(PlanPrecision::F64),
         }
     }
 
-    /// Canonical lower-case name (`f64`, `f32`, `q16`), accepted back by
+    /// Canonical lower-case name (`f64`, `q16`), accepted back by
     /// [`Self::parse`].
     pub fn name(&self) -> &'static str {
         match self {
             PlanPrecision::F64 => "f64",
-            PlanPrecision::F32 => "f32",
             PlanPrecision::QuantI16 => "q16",
         }
     }
@@ -194,11 +192,13 @@ fn ptanh_curve(e: &[f64; 4], x: f64) -> f64 {
     ((x - e[2]) * e[3]).tanh() * e[1] + e[0]
 }
 
+/// f32 twin of [`inv_curve`], for the Q1.14 plan's between-crossbar curves.
 #[inline]
 fn inv_curve_f32(e: &[f32; 4], x: f32) -> f32 {
     e[0] - ((x - e[2]) * e[3]).tanh() * e[1]
 }
 
+/// f32 twin of [`ptanh_curve`].
 #[inline]
 fn ptanh_curve_f32(e: &[f32; 4], x: f32) -> f32 {
     ((x - e[2]) * e[3]).tanh() * e[1] + e[0]
@@ -277,6 +277,77 @@ pub(crate) fn extract_layers(pnn: &Pnn) -> Result<Vec<ExtractedLayer>, PnnError>
     Ok(layers)
 }
 
+/// Widest activation row, extended input row and output row over a layer
+/// chain: per-row sizes of a plan's scratch buffers, fixed at compile time.
+#[derive(Debug, Clone, Copy)]
+struct Widths {
+    act: usize,
+    ext: usize,
+    out: usize,
+}
+
+impl Widths {
+    fn of(layers: &[ExtractedLayer]) -> Widths {
+        Widths {
+            act: layers
+                .iter()
+                .map(|l| l.in_dim.max(l.out_dim))
+                .max()
+                .unwrap_or(1),
+            ext: layers
+                .iter()
+                .map(ExtractedLayer::ext_dim)
+                .max()
+                .unwrap_or(2),
+            out: layers.iter().map(|l| l.out_dim).max().unwrap_or(1),
+        }
+    }
+}
+
+/// What a plan precision supplies to [`Plan`]: its lowered layer and
+/// scratch types and the steps that touch them. Everything else —
+/// compilation, chunking, shape checks, counters — is written once in
+/// `Plan`. The trait is private, so [`F64`] and [`Q16`] are the only
+/// precisions.
+trait Precision {
+    /// One crossbar layer lowered to this precision.
+    type Layer: Clone + std::fmt::Debug + Sync;
+    /// Preallocated forward buffers.
+    type Scratch: Clone + std::fmt::Debug;
+    /// Lowers an extracted f64 layer.
+    fn lower(layer: ExtractedLayer) -> Self::Layer;
+    /// Buffers for `rows` rows of the given widths.
+    fn scratch(widths: Widths, rows: usize) -> Self::Scratch;
+    /// Loads row-major f64 inputs into the first activation buffer.
+    fn load(s: &mut Self::Scratch, x: &[f64]);
+    /// Runs every layer over the first `rows` loaded rows.
+    fn run(layers: &[Self::Layer], s: &mut Self::Scratch, rows: usize);
+    /// Widens the last layer's outputs into `out`.
+    fn store(s: &Self::Scratch, out: &mut [f64]);
+
+    /// Loads `x`, runs the layers and stores into `out`: one chunk of
+    /// `rows` rows.
+    fn forward(
+        layers: &[Self::Layer],
+        s: &mut Self::Scratch,
+        x: &[f64],
+        out: &mut [f64],
+        rows: usize,
+    ) {
+        Self::load(s, x);
+        Self::run(layers, s, rows);
+        Self::store(s, out);
+    }
+}
+
+/// Precision marker of [`InferencePlan`]: f64 throughout.
+#[derive(Debug, Clone, Copy)]
+pub struct F64;
+
+/// Precision marker of [`InferencePlanQuant`]: Q1.14 fixed point.
+#[derive(Debug, Clone, Copy)]
+pub struct Q16;
+
 /// Preallocated forward buffers of an f64 plan, sized at compile time for
 /// `capacity` rows. `h` ping-pongs activations between layers; `x_ext` and
 /// `x_inv` hold the `[x, 1, 0]` / `[inv(x), inv(1), 0]` extended inputs of
@@ -290,26 +361,34 @@ struct Scratch {
     z_neg: Vec<f64>,
 }
 
-impl Scratch {
-    fn new(layers: &[ExtractedLayer], capacity: usize) -> Scratch {
-        let max_ext = layers
-            .iter()
-            .map(ExtractedLayer::ext_dim)
-            .max()
-            .unwrap_or(2);
-        let max_out = layers.iter().map(|l| l.out_dim).max().unwrap_or(1);
-        let max_width = layers
-            .iter()
-            .map(|l| l.in_dim.max(l.out_dim))
-            .max()
-            .unwrap_or(1);
+impl Precision for F64 {
+    type Layer = ExtractedLayer;
+    type Scratch = Scratch;
+
+    fn lower(layer: ExtractedLayer) -> ExtractedLayer {
+        layer
+    }
+
+    fn scratch(w: Widths, rows: usize) -> Scratch {
         Scratch {
-            h: vec![0.0; capacity * max_width],
-            x_ext: vec![0.0; capacity * max_ext],
-            x_inv: vec![0.0; capacity * max_ext],
-            z_pos: vec![0.0; capacity * max_out],
-            z_neg: vec![0.0; capacity * max_out],
+            h: vec![0.0; rows * w.act],
+            x_ext: vec![0.0; rows * w.ext],
+            x_inv: vec![0.0; rows * w.ext],
+            z_pos: vec![0.0; rows * w.out],
+            z_neg: vec![0.0; rows * w.out],
         }
+    }
+
+    fn load(s: &mut Scratch, x: &[f64]) {
+        s.h[..x.len()].copy_from_slice(x);
+    }
+
+    fn run(layers: &[ExtractedLayer], s: &mut Scratch, rows: usize) {
+        run_layers_f64(layers, s, rows);
+    }
+
+    fn store(s: &Scratch, out: &mut [f64]) {
+        out.copy_from_slice(&s.h[..out.len()]);
     }
 }
 
@@ -396,7 +475,11 @@ fn run_layers_f64(layers: &[ExtractedLayer], s: &mut Scratch, b: usize) {
     }
 }
 
-fn argmax_row(row: &[f64]) -> usize {
+/// Argmax of one row of output voltages: the largest value under IEEE
+/// total order, the last one on exact ties, and 0 for an empty row. Every
+/// predict path — [`Pnn::predict`], [`Plan::predict`] and the serving
+/// batcher — picks its class with this one function.
+pub fn argmax_row(row: &[f64]) -> usize {
     row.iter()
         .enumerate()
         .max_by(|a, b| a.1.total_cmp(b.1))
@@ -413,44 +496,51 @@ fn check_input(x: &Matrix, in_dim: usize) -> Result<(), PnnError> {
     Ok(())
 }
 
-fn check_output(out: &Matrix, rows: usize, out_dim: usize) -> Result<(), PnnError> {
-    if out.shape() != (rows, out_dim) {
-        return Err(PnnError::Data {
-            detail: format!(
-                "output buffer is {:?}, need {:?}",
-                out.shape(),
-                (rows, out_dim)
-            ),
-        });
-    }
-    Ok(())
-}
-
-/// A trained pNN compiled to a flat, allocation-free f64 forward pass.
+/// A trained pNN compiled to a flat, allocation-free forward pass at
+/// precision `P` — [`F64`] ([`InferencePlan`]) or [`Q16`]
+/// ([`InferencePlanQuant`]).
 ///
-/// Outputs are **bit-identical** to [`Pnn::infer`] with nominal printing
-/// (`noise = None`) at every batch size, chunking, and — via
-/// [`Self::infer_parallel`] — thread count; the property tests in
+/// The f64 plan's outputs are **bit-identical** to [`Pnn::infer`] with
+/// nominal printing (`noise = None`) at every batch size, chunking, and —
+/// via [`Self::infer_parallel`] — thread count; the property tests in
 /// `tests/infer_plan.rs` assert exact equality across the 13-dataset suite.
-/// After [`compile`](Self::compile), the serial entry points perform no
+/// The Q1.14 plan clamps voltages to ±1.9999 V at quantization — far
+/// outside the 0–1 V supply range real circuits produce — and agrees with
+/// the f64 plan's classification on ≥ 99.5 % of held-out rows. Each plan is
+/// bit-identical to itself across chunkings and thread counts, and
+/// artifact- and network-compiled plans of one precision are bit-identical
+/// to each other. After compilation, the serial entry points perform no
 /// heap allocation beyond the caller-provided output.
+// The private `Precision` bound seals the parameter: callers name only
+// `InferencePlan` and `InferencePlanQuant`.
+#[allow(private_bounds)]
 #[derive(Debug, Clone)]
-pub struct InferencePlan {
-    layers: Vec<ExtractedLayer>,
+pub struct Plan<P: Precision> {
+    layers: Vec<P::Layer>,
     in_dim: usize,
     out_dim: usize,
     capacity: usize,
-    scratch: Scratch,
+    widths: Widths,
+    scratch: P::Scratch,
 }
 
-impl InferencePlan {
+/// The f64 compiled plan, bit-identical to the graph forward.
+pub type InferencePlan = Plan<F64>;
+
+/// The Q1.14 fixed-point compiled plan: `i16` crossbars with `i32`
+/// accumulation ([`pnc_linalg::simd::gemm_i16_i32`]), f32 curve evaluation
+/// between layers.
+pub type InferencePlanQuant = Plan<Q16>;
+
+#[allow(private_bounds)]
+impl<P: Precision> Plan<P> {
     /// Compiles a trained network with the [`DEFAULT_CAPACITY`] micro-batch
     /// size.
     ///
     /// # Errors
     ///
     /// Propagates surrogate/graph failures from η extraction.
-    pub fn compile(pnn: &Pnn) -> Result<InferencePlan, PnnError> {
+    pub fn compile(pnn: &Pnn) -> Result<Self, PnnError> {
         Self::compile_with_capacity(pnn, DEFAULT_CAPACITY)
     }
 
@@ -461,19 +551,8 @@ impl InferencePlan {
     /// # Errors
     ///
     /// Propagates surrogate/graph failures from η extraction.
-    pub fn compile_with_capacity(pnn: &Pnn, capacity: usize) -> Result<InferencePlan, PnnError> {
-        obs_register();
-        let layers = extract_layers(pnn)?;
-        let capacity = capacity.max(1);
-        let scratch = Scratch::new(&layers, capacity);
-        OBS_PLANS_COMPILED.increment();
-        Ok(InferencePlan {
-            in_dim: pnn.config().layer_sizes[0],
-            out_dim: layers.last().map(|l| l.out_dim).unwrap_or(0),
-            layers,
-            capacity,
-            scratch,
-        })
+    pub fn compile_with_capacity(pnn: &Pnn, capacity: usize) -> Result<Self, PnnError> {
+        Ok(Self::lower(extract_layers(pnn)?, capacity))
     }
 
     /// Compiles a plan from an exported [`crate::PnnArtifact`] — no live
@@ -485,7 +564,7 @@ impl InferencePlan {
     ///
     /// Returns [`PnnError::Artifact`] if the artifact fails validation
     /// (non-finite values, inconsistent shapes).
-    pub fn compile_artifact(artifact: &crate::PnnArtifact) -> Result<InferencePlan, PnnError> {
+    pub fn compile_artifact(artifact: &crate::PnnArtifact) -> Result<Self, PnnError> {
         Self::compile_artifact_with_capacity(artifact, DEFAULT_CAPACITY)
     }
 
@@ -498,20 +577,26 @@ impl InferencePlan {
     pub fn compile_artifact_with_capacity(
         artifact: &crate::PnnArtifact,
         capacity: usize,
-    ) -> Result<InferencePlan, PnnError> {
-        obs_register();
+    ) -> Result<Self, PnnError> {
         artifact.validate()?;
-        let layers = artifact.extracted_layers();
+        Ok(Self::lower(artifact.extracted_layers(), capacity))
+    }
+
+    fn lower(layers: Vec<ExtractedLayer>, capacity: usize) -> Self {
+        obs_register();
         let capacity = capacity.max(1);
-        let scratch = Scratch::new(&layers, capacity);
+        let widths = Widths::of(&layers);
+        let in_dim = layers.first().map_or(0, |l| l.in_dim);
+        let out_dim = layers.last().map_or(0, |l| l.out_dim);
         OBS_PLANS_COMPILED.increment();
-        Ok(InferencePlan {
-            in_dim: artifact.in_dim,
-            out_dim: artifact.out_dim,
-            layers,
+        Plan {
+            layers: layers.into_iter().map(P::lower).collect(),
+            in_dim,
+            out_dim,
             capacity,
-            scratch,
-        })
+            widths,
+            scratch: P::scratch(widths, capacity),
+        }
     }
 
     /// Input width the plan was compiled for.
@@ -524,18 +609,13 @@ impl InferencePlan {
         self.out_dim
     }
 
-    /// Micro-batch capacity of the preallocated buffers.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of compiled crossbar layers.
     pub fn num_layers(&self) -> usize {
         self.layers.len()
     }
 
-    /// Output voltages for a batch, bit-identical to
-    /// `pnn.infer(x, None)`. Allocates only the returned matrix; use
+    /// Output voltages for a batch (for the f64 plan, bit-identical to
+    /// `pnn.infer(x, None)`). Allocates only the returned matrix; use
     /// [`Self::infer_into`] for the fully allocation-free path.
     ///
     /// # Errors
@@ -555,17 +635,26 @@ impl InferencePlan {
     /// Returns [`PnnError::Data`] on input-width or output-shape mismatch.
     pub fn infer_into(&mut self, x: &Matrix, out: &mut Matrix) -> Result<(), PnnError> {
         check_input(x, self.in_dim)?;
-        check_output(out, x.rows(), self.out_dim)?;
         let (rows, in_dim, out_dim) = (x.rows(), self.in_dim, self.out_dim);
+        if out.shape() != (rows, out_dim) {
+            return Err(PnnError::Data {
+                detail: format!(
+                    "output buffer is {:?}, need {:?}",
+                    out.shape(),
+                    (rows, out_dim)
+                ),
+            });
+        }
         let mut start = 0;
         while start < rows {
             let end = (start + self.capacity).min(rows);
-            let b = end - start;
-            self.scratch.h[..b * in_dim]
-                .copy_from_slice(&x.as_slice()[start * in_dim..end * in_dim]);
-            run_layers_f64(&self.layers, &mut self.scratch, b);
-            out.as_mut_slice()[start * out_dim..end * out_dim]
-                .copy_from_slice(&self.scratch.h[..b * out_dim]);
+            P::forward(
+                &self.layers,
+                &mut self.scratch,
+                &x.as_slice()[start * in_dim..end * in_dim],
+                &mut out.as_mut_slice()[start * out_dim..end * out_dim],
+                end - start,
+            );
             start = end;
         }
         OBS_SAMPLES.add(rows as u64);
@@ -573,7 +662,8 @@ impl InferencePlan {
         Ok(())
     }
 
-    /// Argmax class predictions, matching [`Pnn::predict`] bit for bit.
+    /// Argmax class predictions ([`argmax_row`] per row); the f64 plan's
+    /// match [`Pnn::predict`] bit for bit.
     ///
     /// # Errors
     ///
@@ -598,13 +688,14 @@ impl InferencePlan {
     pub fn infer_parallel(&self, x: &Matrix, par: &ParallelConfig) -> Result<Matrix, PnnError> {
         check_input(x, self.in_dim)?;
         let (rows, in_dim, out_dim) = (x.rows(), self.in_dim, self.out_dim);
+        let (layers, widths) = (&self.layers, self.widths);
         let bands = pnc_linalg::kernels::row_bands(rows, self.capacity);
         let results = par.ordered_par_map(&bands, |&(s, e)| {
-            let b = e - s;
-            let mut scratch = Scratch::new(&self.layers, b);
-            scratch.h[..b * in_dim].copy_from_slice(&x.as_slice()[s * in_dim..e * in_dim]);
-            run_layers_f64(&self.layers, &mut scratch, b);
-            scratch.h[..b * out_dim].to_vec()
+            let mut scratch = P::scratch(widths, e - s);
+            let mut band = vec![0.0; (e - s) * out_dim];
+            let x = &x.as_slice()[s * in_dim..e * in_dim];
+            P::forward(layers, &mut scratch, x, &mut band, e - s);
+            band
         });
         let mut out = Matrix::zeros(rows, out_dim);
         for (&(s, e), band) in bands.iter().zip(&results) {
@@ -616,346 +707,8 @@ impl InferencePlan {
     }
 }
 
-/// f32 sibling of [`ExtractedLayer`].
-#[derive(Debug, Clone)]
-struct LayerF32 {
-    in_dim: usize,
-    out_dim: usize,
-    w_pos: Vec<f32>,
-    w_neg: Vec<f32>,
-    etas: Vec<([f32; 4], [f32; 4])>,
-    inv_ones: Vec<f32>,
-    apply_act: bool,
-}
-
-impl LayerF32 {
-    fn ext_dim(&self) -> usize {
-        self.in_dim + 2
-    }
-
-    fn from_f64(l: &ExtractedLayer) -> LayerF32 {
-        let etas: Vec<([f32; 4], [f32; 4])> = l
-            .etas
-            .iter()
-            .map(|(a, i)| (a.map(|v| v as f32), i.map(|v| v as f32)))
-            .collect();
-        // inv(1 V) recomputed in f32 so the bias leg sees the same
-        // arithmetic as the data legs.
-        let inv_ones = etas.iter().map(|(_, i)| inv_curve_f32(i, 1.0)).collect();
-        LayerF32 {
-            in_dim: l.in_dim,
-            out_dim: l.out_dim,
-            w_pos: l.w_pos.iter().map(|&w| w as f32).collect(),
-            w_neg: l.w_neg.iter().map(|&w| w as f32).collect(),
-            etas,
-            inv_ones,
-            apply_act: l.apply_act,
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct ScratchF32 {
-    h: Vec<f32>,
-    x_ext: Vec<f32>,
-    x_inv: Vec<f32>,
-    z_pos: Vec<f32>,
-    z_neg: Vec<f32>,
-}
-
-impl ScratchF32 {
-    fn new(layers: &[LayerF32], capacity: usize) -> ScratchF32 {
-        let max_ext = layers.iter().map(LayerF32::ext_dim).max().unwrap_or(2);
-        let max_out = layers.iter().map(|l| l.out_dim).max().unwrap_or(1);
-        let max_width = layers
-            .iter()
-            .map(|l| l.in_dim.max(l.out_dim))
-            .max()
-            .unwrap_or(1);
-        ScratchF32 {
-            h: vec![0.0; capacity * max_width],
-            x_ext: vec![0.0; capacity * max_ext],
-            x_inv: vec![0.0; capacity * max_ext],
-            z_pos: vec![0.0; capacity * max_out],
-            z_neg: vec![0.0; capacity * max_out],
-        }
-    }
-}
-
-fn run_layers_f32(layers: &[LayerF32], s: &mut ScratchF32, b: usize) {
-    for layer in layers {
-        let (input, ext, out) = (layer.in_dim, layer.ext_dim(), layer.out_dim);
-        for i in 0..b {
-            let src_start = i * input;
-            let dst = i * ext;
-            for k in 0..input {
-                s.x_ext[dst + k] = s.h[src_start + k];
-            }
-            s.x_ext[dst + input] = 1.0;
-            s.x_ext[dst + input + 1] = 0.0;
-        }
-        if layer.etas.len() == 1 {
-            let (eta_act, eta_inv) = &layer.etas[0];
-            for i in 0..b {
-                let row = i * ext;
-                for k in 0..input {
-                    s.x_inv[row + k] = inv_curve_f32(eta_inv, s.x_ext[row + k]);
-                }
-                s.x_inv[row + input] = layer.inv_ones[0];
-                s.x_inv[row + input + 1] = 0.0;
-            }
-            gemm_f32(
-                b,
-                ext,
-                out,
-                &s.x_ext[..b * ext],
-                &layer.w_pos,
-                &mut s.z_pos[..b * out],
-            );
-            gemm_f32(
-                b,
-                ext,
-                out,
-                &s.x_inv[..b * ext],
-                &layer.w_neg,
-                &mut s.z_neg[..b * out],
-            );
-            for idx in 0..b * out {
-                let z = s.z_pos[idx] + s.z_neg[idx];
-                s.h[idx] = if layer.apply_act {
-                    ptanh_curve_f32(eta_act, z)
-                } else {
-                    z
-                };
-            }
-        } else {
-            for (j, (eta_act, eta_inv)) in layer.etas.iter().enumerate() {
-                for i in 0..b {
-                    let row = i * ext;
-                    for k in 0..input {
-                        s.x_inv[row + k] = inv_curve_f32(eta_inv, s.x_ext[row + k]);
-                    }
-                    s.x_inv[row + input] = layer.inv_ones[j];
-                    s.x_inv[row + input + 1] = 0.0;
-                }
-                for i in 0..b {
-                    let row = i * ext;
-                    let mut z_pos = 0.0_f32;
-                    for k in 0..ext {
-                        z_pos += s.x_ext[row + k] * layer.w_pos[k * out + j];
-                    }
-                    let mut z_neg = 0.0_f32;
-                    for k in 0..ext {
-                        z_neg += s.x_inv[row + k] * layer.w_neg[k * out + j];
-                    }
-                    let z = z_pos + z_neg;
-                    s.h[i * out + j] = if layer.apply_act {
-                        ptanh_curve_f32(eta_act, z)
-                    } else {
-                        z
-                    };
-                }
-            }
-        }
-    }
-}
-
-/// Single-precision compiled plan: same op layout as [`InferencePlan`] with
-/// f32 weights, buffers, and curve evaluation ([`pnc_linalg::simd::gemm_f32`]
-/// microkernels). Parity with the f64 plan is bounded-error, property-tested
-/// as ≥ 99.5 % classification agreement on held-out rows.
-#[derive(Debug, Clone)]
-pub struct InferencePlanF32 {
-    layers: Vec<LayerF32>,
-    in_dim: usize,
-    out_dim: usize,
-    capacity: usize,
-    scratch: ScratchF32,
-}
-
-impl InferencePlanF32 {
-    /// Compiles with the [`DEFAULT_CAPACITY`] micro-batch size.
-    ///
-    /// # Errors
-    ///
-    /// Propagates surrogate/graph failures from η extraction.
-    pub fn compile(pnn: &Pnn) -> Result<InferencePlanF32, PnnError> {
-        Self::compile_with_capacity(pnn, DEFAULT_CAPACITY)
-    }
-
-    /// Compiles with an explicit micro-batch capacity (clamped to ≥ 1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates surrogate/graph failures from η extraction.
-    pub fn compile_with_capacity(pnn: &Pnn, capacity: usize) -> Result<InferencePlanF32, PnnError> {
-        obs_register();
-        let layers: Vec<LayerF32> = extract_layers(pnn)?
-            .iter()
-            .map(LayerF32::from_f64)
-            .collect();
-        let capacity = capacity.max(1);
-        let scratch = ScratchF32::new(&layers, capacity);
-        OBS_PLANS_COMPILED.increment();
-        Ok(InferencePlanF32 {
-            in_dim: pnn.config().layer_sizes[0],
-            out_dim: layers.last().map(|l| l.out_dim).unwrap_or(0),
-            layers,
-            capacity,
-            scratch,
-        })
-    }
-
-    /// Compiles from an exported [`crate::PnnArtifact`] (see
-    /// [`InferencePlan::compile_artifact`]); the f64 → f32 narrowing is the
-    /// same one [`Self::compile`] applies, so artifact- and network-compiled
-    /// f32 plans are bit-identical to each other.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Artifact`] if the artifact fails validation.
-    pub fn compile_artifact(artifact: &crate::PnnArtifact) -> Result<InferencePlanF32, PnnError> {
-        Self::compile_artifact_with_capacity(artifact, DEFAULT_CAPACITY)
-    }
-
-    /// [`Self::compile_artifact`] with an explicit micro-batch capacity
-    /// (clamped to ≥ 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Artifact`] if the artifact fails validation.
-    pub fn compile_artifact_with_capacity(
-        artifact: &crate::PnnArtifact,
-        capacity: usize,
-    ) -> Result<InferencePlanF32, PnnError> {
-        obs_register();
-        artifact.validate()?;
-        let layers: Vec<LayerF32> = artifact
-            .extracted_layers()
-            .iter()
-            .map(LayerF32::from_f64)
-            .collect();
-        let capacity = capacity.max(1);
-        let scratch = ScratchF32::new(&layers, capacity);
-        OBS_PLANS_COMPILED.increment();
-        Ok(InferencePlanF32 {
-            in_dim: artifact.in_dim,
-            out_dim: artifact.out_dim,
-            layers,
-            capacity,
-            scratch,
-        })
-    }
-
-    /// Input width the plan was compiled for.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output width (number of classes).
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    /// Output voltages (f32 math, widened to f64 for the caller).
-    /// Allocates only the returned matrix; use [`Self::infer_into`] for the
-    /// fully allocation-free path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Data`] if `x` does not match the input width.
-    pub fn infer(&mut self, x: &Matrix) -> Result<Matrix, PnnError> {
-        let mut out = Matrix::zeros(x.rows(), self.out_dim);
-        self.infer_into(x, &mut out)?;
-        Ok(out)
-    }
-
-    /// Writes output voltages for a batch into `out` (`x.rows() ×
-    /// out_dim`), allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Data`] on input-width or output-shape mismatch.
-    pub fn infer_into(&mut self, x: &Matrix, out: &mut Matrix) -> Result<(), PnnError> {
-        check_input(x, self.in_dim)?;
-        check_output(out, x.rows(), self.out_dim)?;
-        let (rows, in_dim, out_dim) = (x.rows(), self.in_dim, self.out_dim);
-        let mut start = 0;
-        while start < rows {
-            let end = (start + self.capacity).min(rows);
-            let b = end - start;
-            for (dst, &src) in self.scratch.h[..b * in_dim]
-                .iter_mut()
-                .zip(&x.as_slice()[start * in_dim..end * in_dim])
-            {
-                *dst = src as f32;
-            }
-            run_layers_f32(&self.layers, &mut self.scratch, b);
-            for (dst, &src) in out.as_mut_slice()[start * out_dim..end * out_dim]
-                .iter_mut()
-                .zip(&self.scratch.h[..b * out_dim])
-            {
-                *dst = f64::from(src);
-            }
-            start = end;
-        }
-        OBS_SAMPLES.add(rows as u64);
-        OBS_BATCHES.increment();
-        Ok(())
-    }
-
-    /// Argmax class predictions.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::infer`].
-    pub fn predict(&mut self, x: &Matrix) -> Result<Vec<usize>, PnnError> {
-        let scores = self.infer(x)?;
-        Ok((0..scores.rows())
-            .map(|i| argmax_row(scores.row(i)))
-            .collect())
-    }
-
-    /// Parallel batched inference over `capacity`-row bands; bit-identical
-    /// to [`Self::infer`] at every thread count (per-band scratch, one
-    /// allocation per band).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Data`] if `x` does not match the input width.
-    pub fn infer_parallel(&self, x: &Matrix, par: &ParallelConfig) -> Result<Matrix, PnnError> {
-        check_input(x, self.in_dim)?;
-        let (rows, in_dim, out_dim) = (x.rows(), self.in_dim, self.out_dim);
-        let bands = pnc_linalg::kernels::row_bands(rows, self.capacity);
-        let results = par.ordered_par_map(&bands, |&(s, e)| {
-            let b = e - s;
-            let mut scratch = ScratchF32::new(&self.layers, b);
-            for (dst, &src) in scratch.h[..b * in_dim]
-                .iter_mut()
-                .zip(&x.as_slice()[s * in_dim..e * in_dim])
-            {
-                *dst = src as f32;
-            }
-            run_layers_f32(&self.layers, &mut scratch, b);
-            scratch.h[..b * out_dim].to_vec()
-        });
-        let mut out = Matrix::zeros(rows, out_dim);
-        for (&(s, e), band) in bands.iter().zip(&results) {
-            for (dst, &src) in out.as_mut_slice()[s * out_dim..e * out_dim]
-                .iter_mut()
-                .zip(band)
-            {
-                *dst = f64::from(src);
-            }
-        }
-        OBS_SAMPLES.add(rows as u64);
-        OBS_BATCHES.increment();
-        Ok(out)
-    }
-}
-
-/// Fixed-point sibling: Q1.14 `i16` weights, Q1.14 activations, `i32`
-/// accumulators; η curves evaluated in f32 between crossbars.
+/// Q1.14 lowering of an [`ExtractedLayer`]: `i16` weights, f32 η curves
+/// evaluated between crossbars.
 #[derive(Debug, Clone)]
 struct LayerQuant {
     in_dim: usize,
@@ -971,8 +724,25 @@ impl LayerQuant {
     fn ext_dim(&self) -> usize {
         self.in_dim + 2
     }
+}
 
-    fn from_f64(l: &ExtractedLayer) -> LayerQuant {
+#[derive(Debug, Clone)]
+struct ScratchQuant {
+    /// Current activations, Q1.14.
+    h_q: Vec<i16>,
+    /// Current activations, f32 (the last layer's values are the output).
+    h_f: Vec<f32>,
+    x_ext: Vec<i16>,
+    x_inv: Vec<i16>,
+    z_pos: Vec<i32>,
+    z_neg: Vec<i32>,
+}
+
+impl Precision for Q16 {
+    type Layer = LayerQuant;
+    type Scratch = ScratchQuant;
+
+    fn lower(l: ExtractedLayer) -> LayerQuant {
         let etas: Vec<([f32; 4], [f32; 4])> = l
             .etas
             .iter()
@@ -992,36 +762,31 @@ impl LayerQuant {
             apply_act: l.apply_act,
         }
     }
-}
 
-#[derive(Debug, Clone)]
-struct ScratchQuant {
-    /// Current activations, Q1.14.
-    h_q: Vec<i16>,
-    /// Current activations, f32 (the last layer's values are the output).
-    h_f: Vec<f32>,
-    x_ext: Vec<i16>,
-    x_inv: Vec<i16>,
-    z_pos: Vec<i32>,
-    z_neg: Vec<i32>,
-}
-
-impl ScratchQuant {
-    fn new(layers: &[LayerQuant], capacity: usize) -> ScratchQuant {
-        let max_ext = layers.iter().map(LayerQuant::ext_dim).max().unwrap_or(2);
-        let max_out = layers.iter().map(|l| l.out_dim).max().unwrap_or(1);
-        let max_width = layers
-            .iter()
-            .map(|l| l.in_dim.max(l.out_dim))
-            .max()
-            .unwrap_or(1);
+    fn scratch(w: Widths, rows: usize) -> ScratchQuant {
         ScratchQuant {
-            h_q: vec![0; capacity * max_width],
-            h_f: vec![0.0; capacity * max_width],
-            x_ext: vec![0; capacity * max_ext],
-            x_inv: vec![0; capacity * max_ext],
-            z_pos: vec![0; capacity * max_out],
-            z_neg: vec![0; capacity * max_out],
+            h_q: vec![0; rows * w.act],
+            h_f: vec![0.0; rows * w.act],
+            x_ext: vec![0; rows * w.ext],
+            x_inv: vec![0; rows * w.ext],
+            z_pos: vec![0; rows * w.out],
+            z_neg: vec![0; rows * w.out],
+        }
+    }
+
+    fn load(s: &mut ScratchQuant, x: &[f64]) {
+        for (dst, &src) in s.h_q.iter_mut().zip(x) {
+            *dst = quantize_q14(src as f32);
+        }
+    }
+
+    fn run(layers: &[LayerQuant], s: &mut ScratchQuant, rows: usize) {
+        run_layers_quant(layers, s, rows);
+    }
+
+    fn store(s: &ScratchQuant, out: &mut [f64]) {
+        for (dst, &src) in out.iter_mut().zip(&s.h_f) {
+            *dst = f64::from(src);
         }
     }
 }
@@ -1113,246 +878,22 @@ fn run_layers_quant(layers: &[LayerQuant], s: &mut ScratchQuant, b: usize) {
     }
 }
 
-/// Fixed-point compiled plan: Q1.14 `i16` crossbars with `i32`
-/// accumulation ([`pnc_linalg::simd::gemm_i16_i32`]), f32 curve evaluation
-/// between layers. Voltages are clamped to ±1.9999 V at quantization — far
-/// outside the 0–1 V supply range real circuits produce. Parity with the
-/// f64 plan is bounded-error, property-tested as ≥ 99.5 % classification
-/// agreement on held-out rows.
-#[derive(Debug, Clone)]
-pub struct InferencePlanQuant {
-    layers: Vec<LayerQuant>,
-    in_dim: usize,
-    out_dim: usize,
-    capacity: usize,
-    scratch: ScratchQuant,
-}
-
-impl InferencePlanQuant {
-    /// Compiles with the [`DEFAULT_CAPACITY`] micro-batch size.
-    ///
-    /// # Errors
-    ///
-    /// Propagates surrogate/graph failures from η extraction.
-    pub fn compile(pnn: &Pnn) -> Result<InferencePlanQuant, PnnError> {
-        Self::compile_with_capacity(pnn, DEFAULT_CAPACITY)
-    }
-
-    /// Compiles with an explicit micro-batch capacity (clamped to ≥ 1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates surrogate/graph failures from η extraction.
-    pub fn compile_with_capacity(
-        pnn: &Pnn,
-        capacity: usize,
-    ) -> Result<InferencePlanQuant, PnnError> {
-        obs_register();
-        let layers: Vec<LayerQuant> = extract_layers(pnn)?
-            .iter()
-            .map(LayerQuant::from_f64)
-            .collect();
-        let capacity = capacity.max(1);
-        let scratch = ScratchQuant::new(&layers, capacity);
-        OBS_PLANS_COMPILED.increment();
-        Ok(InferencePlanQuant {
-            in_dim: pnn.config().layer_sizes[0],
-            out_dim: layers.last().map(|l| l.out_dim).unwrap_or(0),
-            layers,
-            capacity,
-            scratch,
-        })
-    }
-
-    /// Compiles from an exported [`crate::PnnArtifact`] (see
-    /// [`InferencePlan::compile_artifact`]); quantization is the same one
-    /// [`Self::compile`] applies, so artifact- and network-compiled Q1.14
-    /// plans are bit-identical to each other.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Artifact`] if the artifact fails validation.
-    pub fn compile_artifact(artifact: &crate::PnnArtifact) -> Result<InferencePlanQuant, PnnError> {
-        Self::compile_artifact_with_capacity(artifact, DEFAULT_CAPACITY)
-    }
-
-    /// [`Self::compile_artifact`] with an explicit micro-batch capacity
-    /// (clamped to ≥ 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Artifact`] if the artifact fails validation.
-    pub fn compile_artifact_with_capacity(
-        artifact: &crate::PnnArtifact,
-        capacity: usize,
-    ) -> Result<InferencePlanQuant, PnnError> {
-        obs_register();
-        artifact.validate()?;
-        let layers: Vec<LayerQuant> = artifact
-            .extracted_layers()
-            .iter()
-            .map(LayerQuant::from_f64)
-            .collect();
-        let capacity = capacity.max(1);
-        let scratch = ScratchQuant::new(&layers, capacity);
-        OBS_PLANS_COMPILED.increment();
-        Ok(InferencePlanQuant {
-            in_dim: artifact.in_dim,
-            out_dim: artifact.out_dim,
-            layers,
-            capacity,
-            scratch,
-        })
-    }
-
-    /// Input width the plan was compiled for.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output width (number of classes).
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    /// Output voltages (fixed-point crossbars, widened to f64). Allocates
-    /// only the returned matrix; use [`Self::infer_into`] for the fully
-    /// allocation-free path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Data`] if `x` does not match the input width.
-    pub fn infer(&mut self, x: &Matrix) -> Result<Matrix, PnnError> {
-        let mut out = Matrix::zeros(x.rows(), self.out_dim);
-        self.infer_into(x, &mut out)?;
-        Ok(out)
-    }
-
-    /// Writes output voltages for a batch into `out` (`x.rows() ×
-    /// out_dim`), allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Data`] on input-width or output-shape mismatch.
-    pub fn infer_into(&mut self, x: &Matrix, out: &mut Matrix) -> Result<(), PnnError> {
-        check_input(x, self.in_dim)?;
-        check_output(out, x.rows(), self.out_dim)?;
-        let (rows, in_dim, out_dim) = (x.rows(), self.in_dim, self.out_dim);
-        let mut start = 0;
-        while start < rows {
-            let end = (start + self.capacity).min(rows);
-            let b = end - start;
-            for (dst, &src) in self.scratch.h_q[..b * in_dim]
-                .iter_mut()
-                .zip(&x.as_slice()[start * in_dim..end * in_dim])
-            {
-                *dst = quantize_q14(src as f32);
-            }
-            run_layers_quant(&self.layers, &mut self.scratch, b);
-            for (dst, &src) in out.as_mut_slice()[start * out_dim..end * out_dim]
-                .iter_mut()
-                .zip(&self.scratch.h_f[..b * out_dim])
-            {
-                *dst = f64::from(src);
-            }
-            start = end;
-        }
-        OBS_SAMPLES.add(rows as u64);
-        OBS_BATCHES.increment();
-        Ok(())
-    }
-
-    /// Argmax class predictions.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::infer`].
-    pub fn predict(&mut self, x: &Matrix) -> Result<Vec<usize>, PnnError> {
-        let scores = self.infer(x)?;
-        Ok((0..scores.rows())
-            .map(|i| argmax_row(scores.row(i)))
-            .collect())
-    }
-
-    /// Parallel batched inference over `capacity`-row bands; bit-identical
-    /// to [`Self::infer`] at every thread count (per-band scratch, one
-    /// allocation per band).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Data`] if `x` does not match the input width.
-    pub fn infer_parallel(&self, x: &Matrix, par: &ParallelConfig) -> Result<Matrix, PnnError> {
-        check_input(x, self.in_dim)?;
-        let (rows, in_dim, out_dim) = (x.rows(), self.in_dim, self.out_dim);
-        let bands = pnc_linalg::kernels::row_bands(rows, self.capacity);
-        let results = par.ordered_par_map(&bands, |&(s, e)| {
-            let b = e - s;
-            let mut scratch = ScratchQuant::new(&self.layers, b);
-            for (dst, &src) in scratch.h_q[..b * in_dim]
-                .iter_mut()
-                .zip(&x.as_slice()[s * in_dim..e * in_dim])
-            {
-                *dst = quantize_q14(src as f32);
-            }
-            run_layers_quant(&self.layers, &mut scratch, b);
-            scratch.h_f[..b * out_dim].to_vec()
-        });
-        let mut out = Matrix::zeros(rows, out_dim);
-        for (&(s, e), band) in bands.iter().zip(&results) {
-            for (dst, &src) in out.as_mut_slice()[s * out_dim..e * out_dim]
-                .iter_mut()
-                .zip(band)
-            {
-                *dst = f64::from(src);
-            }
-        }
-        OBS_SAMPLES.add(rows as u64);
-        OBS_BATCHES.increment();
-        Ok(out)
-    }
-}
-
-/// A compiled pNN at any precision, behind one dispatching API.
+/// A compiled pNN at either precision, behind one dispatching API — the
+/// serving registry's plan type.
 #[derive(Debug, Clone)]
 pub enum CompiledPnn {
     /// Bit-exact f64 plan.
     F64(InferencePlan),
-    /// Single-precision plan.
-    F32(InferencePlanF32),
     /// Fixed-point Q1.14 plan.
     QuantI16(InferencePlanQuant),
 }
 
 impl CompiledPnn {
-    /// Compiles at the requested precision.
-    ///
-    /// # Errors
-    ///
-    /// Propagates surrogate/graph failures from η extraction.
-    pub fn compile(pnn: &Pnn, precision: PlanPrecision) -> Result<CompiledPnn, PnnError> {
-        Ok(match precision {
-            PlanPrecision::F64 => CompiledPnn::F64(InferencePlan::compile(pnn)?),
-            PlanPrecision::F32 => CompiledPnn::F32(InferencePlanF32::compile(pnn)?),
-            PlanPrecision::QuantI16 => CompiledPnn::QuantI16(InferencePlanQuant::compile(pnn)?),
-        })
-    }
-
-    /// Compiles at the precision named by `PNC_INFER_PRECISION` (f64 when
-    /// unset).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::compile`], plus [`PnnError::Config`] when the
-    /// variable is set to an unrecognized value ([`PlanPrecision::from_env`]
-    /// — operator typos fail loudly instead of silently serving f64).
-    pub fn compile_from_env(pnn: &Pnn) -> Result<CompiledPnn, PnnError> {
-        Self::compile(pnn, PlanPrecision::from_env()?)
-    }
-
     /// Compiles an exported [`crate::PnnArtifact`] at the requested
     /// precision and micro-batch capacity — the serving-registry entry
-    /// point: no live network or surrogate required, and the f64 variant is
-    /// bit-identical to a plan compiled from the originating network.
+    /// point: no live network or surrogate required, and the plan is
+    /// bit-identical to one of the same precision compiled from the
+    /// originating network.
     ///
     /// # Errors
     ///
@@ -1363,32 +904,19 @@ impl CompiledPnn {
         capacity: usize,
     ) -> Result<CompiledPnn, PnnError> {
         Ok(match precision {
-            PlanPrecision::F64 => CompiledPnn::F64(InferencePlan::compile_artifact_with_capacity(
-                artifact, capacity,
-            )?),
-            PlanPrecision::F32 => CompiledPnn::F32(
-                InferencePlanF32::compile_artifact_with_capacity(artifact, capacity)?,
-            ),
-            PlanPrecision::QuantI16 => CompiledPnn::QuantI16(
-                InferencePlanQuant::compile_artifact_with_capacity(artifact, capacity)?,
-            ),
+            PlanPrecision::F64 => {
+                CompiledPnn::F64(Plan::compile_artifact_with_capacity(artifact, capacity)?)
+            }
+            PlanPrecision::QuantI16 => {
+                CompiledPnn::QuantI16(Plan::compile_artifact_with_capacity(artifact, capacity)?)
+            }
         })
-    }
-
-    /// The plan's precision.
-    pub fn precision(&self) -> PlanPrecision {
-        match self {
-            CompiledPnn::F64(_) => PlanPrecision::F64,
-            CompiledPnn::F32(_) => PlanPrecision::F32,
-            CompiledPnn::QuantI16(_) => PlanPrecision::QuantI16,
-        }
     }
 
     /// Input width the plan was compiled for.
     pub fn in_dim(&self) -> usize {
         match self {
             CompiledPnn::F64(p) => p.in_dim(),
-            CompiledPnn::F32(p) => p.in_dim(),
             CompiledPnn::QuantI16(p) => p.in_dim(),
         }
     }
@@ -1397,7 +925,6 @@ impl CompiledPnn {
     pub fn out_dim(&self) -> usize {
         match self {
             CompiledPnn::F64(p) => p.out_dim(),
-            CompiledPnn::F32(p) => p.out_dim(),
             CompiledPnn::QuantI16(p) => p.out_dim(),
         }
     }
@@ -1411,48 +938,7 @@ impl CompiledPnn {
     pub fn infer_into(&mut self, x: &Matrix, out: &mut Matrix) -> Result<(), PnnError> {
         match self {
             CompiledPnn::F64(p) => p.infer_into(x, out),
-            CompiledPnn::F32(p) => p.infer_into(x, out),
             CompiledPnn::QuantI16(p) => p.infer_into(x, out),
-        }
-    }
-
-    /// Output voltages for a batch (dispatching [`InferencePlan::infer`]
-    /// and siblings).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PnnError::Data`] if `x` does not match the input width.
-    pub fn infer(&mut self, x: &Matrix) -> Result<Matrix, PnnError> {
-        match self {
-            CompiledPnn::F64(p) => p.infer(x),
-            CompiledPnn::F32(p) => p.infer(x),
-            CompiledPnn::QuantI16(p) => p.infer(x),
-        }
-    }
-
-    /// Argmax class predictions.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::infer`].
-    pub fn predict(&mut self, x: &Matrix) -> Result<Vec<usize>, PnnError> {
-        match self {
-            CompiledPnn::F64(p) => p.predict(x),
-            CompiledPnn::F32(p) => p.predict(x),
-            CompiledPnn::QuantI16(p) => p.predict(x),
-        }
-    }
-
-    /// Parallel batched inference.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::infer`].
-    pub fn infer_parallel(&self, x: &Matrix, par: &ParallelConfig) -> Result<Matrix, PnnError> {
-        match self {
-            CompiledPnn::F64(p) => p.infer_parallel(x, par),
-            CompiledPnn::F32(p) => p.infer_parallel(x, par),
-            CompiledPnn::QuantI16(p) => p.infer_parallel(x, par),
         }
     }
 }
@@ -1477,7 +963,6 @@ mod tests {
     fn precision_parse_accepts_all_spellings() {
         // Exercises the parsing helper directly to avoid mutating process
         // env (`from_env` is `parse` plus the unset → F64 default).
-        assert_eq!(PlanPrecision::parse("f32").unwrap(), PlanPrecision::F32);
         assert_eq!(
             PlanPrecision::parse(" Q16 ").unwrap(),
             PlanPrecision::QuantI16
@@ -1491,11 +976,7 @@ mod tests {
             PlanPrecision::QuantI16
         );
         assert_eq!(PlanPrecision::parse("F64").unwrap(), PlanPrecision::F64);
-        for p in [
-            PlanPrecision::F64,
-            PlanPrecision::F32,
-            PlanPrecision::QuantI16,
-        ] {
+        for p in [PlanPrecision::F64, PlanPrecision::QuantI16] {
             assert_eq!(PlanPrecision::parse(p.name()).unwrap(), p);
         }
     }
@@ -1504,7 +985,7 @@ mod tests {
     fn precision_parse_rejects_unknown_values_with_typed_error() {
         // The silent-fallback regression: a typo'd precision used to
         // quietly select F64; it must now surface as a Config error.
-        for bad in ["garbage", "f16", "", "q14", "fp64"] {
+        for bad in ["garbage", "f16", "", "q14", "fp64", "f32"] {
             match PlanPrecision::parse(bad) {
                 Err(PnnError::Config { detail }) => {
                     assert!(
@@ -1515,5 +996,17 @@ mod tests {
                 other => panic!("{bad:?} must be a Config error, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn argmax_row_takes_the_last_maximum_in_total_order() {
+        // Last maximum wins on exact ties, and positive NaN sorts above
+        // every number under IEEE total order (NaN can't occur in served
+        // scores, but every predict path must break ties the same way).
+        assert_eq!(argmax_row(&[1.0, 3.0, 2.0]), 1);
+        assert_eq!(argmax_row(&[2.0, 2.0, 1.0]), 1);
+        assert_eq!(argmax_row(&[f64::NAN, 0.0]), 0);
+        assert_eq!(argmax_row(&[0.0, -0.0]), 0, "+0 beats -0 in total order");
+        assert_eq!(argmax_row(&[]), 0);
     }
 }

@@ -95,7 +95,7 @@ pub use export::{
     ArtifactLayer, CircuitDesign, CrossbarDesign, PnnArtifact, PrintedDesign,
     ARTIFACT_FORMAT_VERSION,
 };
-pub use infer::{CompiledPnn, InferencePlan, InferencePlanF32, InferencePlanQuant, PlanPrecision};
+pub use infer::{argmax_row, CompiledPnn, InferencePlan, InferencePlanQuant, PlanPrecision};
 pub use layer::{project_printable, PLayer};
 pub use network::{LossKind, NonlinearityGranularity, Pnn, PnnConfig, PnnVars};
 pub use nonlinearity::{apply_inv, apply_ptanh, NonlinearCircuit};

@@ -442,14 +442,7 @@ impl Pnn {
     pub fn predict(&self, x: &Matrix, noise: Option<&NoiseSample>) -> Result<Vec<usize>, PnnError> {
         let scores = self.infer(x, noise)?;
         Ok((0..scores.rows())
-            .map(|i| {
-                let row = scores.row(i);
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(j, _)| j)
-                    .unwrap_or(0)
-            })
+            .map(|i| crate::argmax_row(scores.row(i)))
             .collect())
     }
 }

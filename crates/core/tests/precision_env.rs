@@ -18,7 +18,6 @@ fn from_env_honours_valid_values_and_hard_errors_on_typos() {
 
     for (value, expected) in [
         ("f64", PlanPrecision::F64),
-        ("f32", PlanPrecision::F32),
         (" Q16 ", PlanPrecision::QuantI16),
         ("quant", PlanPrecision::QuantI16),
     ] {
@@ -43,6 +42,16 @@ fn from_env_honours_valid_values_and_hard_errors_on_typos() {
             }
             other => panic!("{bad:?} must fail from_env, got {other:?}"),
         }
+    }
+
+    // The removed f32 precision points the operator to its replacement.
+    std::env::set_var(VAR, "f32");
+    match PlanPrecision::from_env() {
+        Err(PnnError::Config { detail }) => assert!(
+            detail.contains(VAR) && detail.contains("use f64"),
+            "the f32 error must name the variable and point to f64: {detail}"
+        ),
+        other => panic!("f32 must fail from_env, got {other:?}"),
     }
 
     std::env::remove_var(VAR);

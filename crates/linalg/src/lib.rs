@@ -22,7 +22,7 @@
 //!   variant is bit-identical to the naive reference at any block size and
 //!   thread count.
 //! * [`simd`] — autovectorization-friendly register-tiled microkernels
-//!   (f64×4, f32×8, i16→i32) shared by the blocked matmul and the compiled
+//!   (f64×4, i16→i32) shared by the blocked matmul and the compiled
 //!   inference plans in `pnc-core`, all safe code, all honoring the same
 //!   ascending-`k` accumulation order.
 //! * [`sparse`] — compressed-sparse-column storage and Markowitz-ordered

@@ -1,11 +1,11 @@
-//! Autovectorization-friendly dense microkernels (f64×4, f32×8, i16→i32).
+//! Autovectorization-friendly dense microkernels (f64×4, i16→i32).
 //!
 //! These are the register-tiled inner loops behind both the cache-blocked
 //! [`Matrix`](crate::Matrix) matmul and the compiled inference plans in
 //! `pnc-core`. Everything is safe code: the kernels are written so LLVM's
 //! autovectorizer turns the fixed-width accumulator arrays into SIMD
-//! registers (4-wide for `f64`, 8-wide for `f32`), without `unsafe`,
-//! intrinsics, or feature detection.
+//! registers (4-wide for `f64`), without `unsafe`, intrinsics, or feature
+//! detection.
 //!
 //! The one non-negotiable rule carries over from [`crate::kernels`]: **for
 //! every output element the contraction index `k` ascends in exactly the
@@ -26,9 +26,6 @@ const MR: usize = 4;
 
 /// `f64` accumulator width (one AVX2 register).
 const NR_F64: usize = 4;
-
-/// `f32` accumulator width (one AVX2 register).
-const NR_F32: usize = 8;
 
 macro_rules! gemm_acc_strided {
     ($(#[$doc:meta])* $name:ident, $t:ty, $nr:expr) => {
@@ -148,13 +145,6 @@ gemm_acc_strided!(
     NR_F64
 );
 
-gemm_acc_strided!(
-    /// `f32` twin of [`gemm_f64_acc_strided`] with 8-wide accumulators.
-    gemm_f32_acc_strided,
-    f32,
-    NR_F32
-);
-
 /// `out = A · B` for contiguous row-major `f64` slices (`A` is `m×kk`, `B`
 /// is `kk×n`, `out` is `m×n`, fully overwritten). Bit-identical to
 /// [`Matrix::matmul`](crate::Matrix::matmul) on the same data.
@@ -164,16 +154,6 @@ pub fn gemm_f64(m: usize, kk: usize, n: usize, a: &[f64], b: &[f64], out: &mut [
     debug_assert_eq!(out.len(), m * n);
     out.fill(0.0);
     gemm_f64_acc_strided(a, kk, b, n, out, n, (m, kk, n));
-}
-
-/// `out = A · B` for contiguous row-major `f32` slices (shapes as
-/// [`gemm_f64`]). Same ascending-`k` contraction order in `f32` arithmetic.
-pub fn gemm_f32(m: usize, kk: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * kk);
-    debug_assert_eq!(b.len(), kk * n);
-    debug_assert_eq!(out.len(), m * n);
-    out.fill(0.0);
-    gemm_f32_acc_strided(a, kk, b, n, out, n, (m, kk, n));
 }
 
 /// Fixed-point `out = A · B`: `i16` operands, `i32` accumulators (`A` is
@@ -284,24 +264,6 @@ mod tests {
             );
         }
         assert_eq!(once, split);
-    }
-
-    #[test]
-    fn gemm_f32_matches_naive_f32() {
-        let (m, kk, n) = (5, 6, 11);
-        let a: Vec<f32> = (0..m * kk).map(|v| ((v % 13) as f32) / 3.0 - 1.5).collect();
-        let b: Vec<f32> = (0..kk * n).map(|v| ((v % 7) as f32) / 2.0 - 1.0).collect();
-        let mut out = vec![9.0f32; m * n];
-        gemm_f32(m, kk, n, &a, &b, &mut out);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for k in 0..kk {
-                    acc += a[i * kk + k] * b[k * n + j];
-                }
-                assert_eq!(out[i * n + j], acc, "({i},{j})");
-            }
-        }
     }
 
     #[test]

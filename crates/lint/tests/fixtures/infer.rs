@@ -15,7 +15,7 @@ pub static SAMPLES: Counter = Counter::new("infer.samples");
 /// Batched inference calls.
 pub static BATCHES: Counter = Counter::new("infer.batches");
 
-/// Precision selection, as `CompiledPnn::compile_from_env` reads it.
+/// Precision selection, as `PlanPrecision::from_env` reads it.
 pub fn precision_from_env() -> Option<String> {
     std::env::var("PNC_INFER_PRECISION").ok()
 }

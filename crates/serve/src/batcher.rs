@@ -15,7 +15,7 @@
 //! empty, so every accepted request gets a response.
 
 use crate::{ServeError, OBS_BATCHES, OBS_BATCH_SIZE, OBS_QUEUE_DEPTH, OBS_RESPONSES};
-use pnc_core::CompiledPnn;
+use pnc_core::{argmax_row, CompiledPnn};
 use pnc_linalg::Matrix;
 use std::collections::VecDeque;
 use std::sync::mpsc::SyncSender;
@@ -139,17 +139,6 @@ impl ModelQueue {
     }
 }
 
-/// The plan's argmax, replicated operation-for-operation (IEEE total order,
-/// last maximum wins on ties) so served `class` fields are byte-identical
-/// to [`pnc_core::InferencePlan::predict`].
-fn argmax_row(row: &[f64]) -> usize {
-    row.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(j, _)| j)
-        .unwrap_or(0)
-}
-
 /// A batch worker's main loop: pull micro-batches until the queue drains
 /// closed, run each through this worker's own plan clone, and answer every
 /// request in the batch.
@@ -259,18 +248,5 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert!(worker.join().expect("worker exits").is_none());
-    }
-
-    #[test]
-    fn argmax_matches_plan_tie_breaking() {
-        // Last maximum wins on exact ties, and positive NaN sorts above
-        // every number under IEEE total order — the plan's exact semantics
-        // (NaN can't occur in served scores, but the tie-breaking must
-        // match bit-for-bit regardless).
-        assert_eq!(argmax_row(&[1.0, 3.0, 2.0]), 1);
-        assert_eq!(argmax_row(&[2.0, 2.0, 1.0]), 1);
-        assert_eq!(argmax_row(&[f64::NAN, 0.0]), 0);
-        assert_eq!(argmax_row(&[0.0, -0.0]), 0, "+0 beats -0 in total order");
-        assert_eq!(argmax_row(&[]), 0);
     }
 }

@@ -7,7 +7,8 @@
 //! * [`ModelRegistry`] — loads exported [`pnc_core::PnnArtifact`] files
 //!   (the deployment output of `pnc-core`'s export seam), validates them,
 //!   and compiles each into a [`pnc_core::CompiledPnn`] at a
-//!   registry-level [`pnc_core::PlanPrecision`].
+//!   registry-level [`pnc_core::PlanPrecision`]: f64 (the default) or
+//!   Q1.14 fixed point.
 //! * [`Server`] — per-model micro-batching workers: concurrent requests
 //!   coalesce into chunked plan batch calls under a `max_batch` /
 //!   `max_wait` policy, with bounded queues, explicit typed overload
@@ -17,10 +18,11 @@
 //!   (length-prefixed JSON), [`wire::TcpServer`].
 //!
 //! **Determinism contract** (DESIGN.md §13): a response is bit-identical
-//! to a direct single-sample [`pnc_core::InferencePlan`] call on the same
-//! model — regardless of how requests were batched, which worker served
-//! them, or how many workers ran. Batching amortizes per-call overhead;
-//! it never touches the numbers. Traffic *shape* (queue depths, batch
+//! to a direct single-sample plan call of the registry's precision
+//! ([`pnc_core::InferencePlan`] or [`pnc_core::InferencePlanQuant`]) on
+//! the same model — regardless of how requests were batched, which worker
+//! served them, or how many workers ran. Batching amortizes per-call
+//! overhead; it never touches the numbers. Traffic *shape* (queue depths, batch
 //! sizes, latencies) is inherently scheduling-dependent and excluded from
 //! the bit-identity contract; payloads are not.
 //!
@@ -103,8 +105,8 @@ pub const THREADS_ENV_VAR: &str = "PNC_SERVE_THREADS";
 /// Serving policy: batching, backpressure, and numeric precision.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Numeric precision every registry plan compiles at (shared
-    /// registry-level setting; `PNC_INFER_PRECISION` under
+    /// Numeric precision every registry plan compiles at, f64 or Q1.14
+    /// (shared registry-level setting; `PNC_INFER_PRECISION` under
     /// [`Self::from_env`]).
     pub precision: PlanPrecision,
     /// Most rows a worker coalesces into one plan call (≥ 1; default 32).
@@ -161,7 +163,9 @@ impl ServeConfig {
     ///
     /// Returns [`ServeError::Config`] on any unparsable or out-of-range
     /// value — a typo'd deployment variable fails startup loudly instead
-    /// of silently serving defaults.
+    /// of silently serving defaults. `PNC_INFER_PRECISION=f32`, a removed
+    /// precision, fails with the [`PlanPrecision::from_env`] message,
+    /// which says to use `f64`.
     pub fn from_env() -> Result<ServeConfig, ServeError> {
         let defaults = ServeConfig::default();
         let precision = PlanPrecision::from_env().map_err(|e| ServeError::Config {

@@ -54,8 +54,6 @@ for key in (
     "graph_p99_us",
     "plan_f64_p50_us",
     "plan_f64_p99_us",
-    "plan_f32_p50_us",
-    "plan_f32_p99_us",
     "plan_q16_p50_us",
     "plan_q16_p99_us",
     "speedup_f64_vs_graph",
@@ -68,7 +66,6 @@ need(batched, "batch", "batched", int)
 for key in (
     "graph_inferences_per_s",
     "plan_f64_inferences_per_s",
-    "plan_f32_inferences_per_s",
     "plan_q16_inferences_per_s",
 ):
     need(batched, key, "batched", number)
