@@ -62,9 +62,12 @@ pub struct LmResult {
 
 /// Minimizes `0.5 · ‖r(p)‖²` by damped Gauss–Newton (Levenberg–Marquardt).
 ///
-/// `model` maps a parameter vector to the residual vector `r` and the
-/// Jacobian `J` with `J[(i, j)] = ∂r_i/∂p_j`. The residual length must be
-/// constant across calls.
+/// `model(p, r, j)` evaluates the model at `p`: it overwrites every entry of
+/// the residual vector `r` (length `residuals`) and of the Jacobian `j`
+/// (`residuals`×`p.len()`, with `j[(i, k)] = ∂r_i/∂p_k`). The buffers are
+/// owned by the solver and reused across calls, so they arrive holding an
+/// earlier evaluation's values; an iteration allocates nothing beyond the
+/// LU factorization of the damped normal equations.
 ///
 /// Damping uses the Marquardt diagonal scaling
 /// `(JᵀJ + λ·diag(JᵀJ))·δ = −Jᵀr`, multiplying λ by 10 on a rejected step
@@ -86,11 +89,11 @@ pub struct LmResult {
 ///
 /// ```
 /// use pnc_fit::{levenberg_marquardt, FitError, LmOptions};
-/// use pnc_linalg::Matrix;
 ///
 /// // NaN residuals at the starting point are rejected up front.
-/// let err = levenberg_marquardt(&[1.0], LmOptions::default(), |p| {
-///     (vec![f64::NAN * p[0]], Matrix::from_rows(&[&[1.0]]).unwrap())
+/// let err = levenberg_marquardt(&[1.0], 1, LmOptions::default(), |p, r, j| {
+///     r[0] = f64::NAN * p[0];
+///     j[(0, 0)] = 1.0;
 /// });
 /// assert!(matches!(err, Err(FitError::InvalidData { .. })));
 /// ```
@@ -101,17 +104,19 @@ pub struct LmResult {
 ///
 /// ```
 /// use pnc_fit::{levenberg_marquardt, LmOptions};
-/// use pnc_linalg::Matrix;
 ///
 /// # fn main() -> Result<(), pnc_fit::FitError> {
 /// let data = [(0.0, 1.0), (1.0, 3.0)];
 /// let result = levenberg_marquardt(
 ///     &[0.0, 0.0],
+///     data.len(),
 ///     LmOptions::default(),
-///     |p| {
-///         let r: Vec<f64> = data.iter().map(|&(x, y)| p[0] + p[1] * x - y).collect();
-///         let j = Matrix::from_fn(2, 2, |i, col| if col == 0 { 1.0 } else { data[i].0 });
-///         (r, j)
+///     |p, r, j| {
+///         for (i, &(x, y)) in data.iter().enumerate() {
+///             r[i] = p[0] + p[1] * x - y;
+///             j[(i, 0)] = 1.0;
+///             j[(i, 1)] = x;
+///         }
 ///     },
 /// )?;
 /// assert!((result.params[0] - 1.0).abs() < 1e-9);
@@ -121,8 +126,9 @@ pub struct LmResult {
 /// ```
 pub fn levenberg_marquardt(
     initial: &[f64],
+    residuals: usize,
     options: LmOptions,
-    mut model: impl FnMut(&[f64]) -> (Vec<f64>, Matrix),
+    mut model: impl FnMut(&[f64], &mut [f64], &mut Matrix),
 ) -> Result<LmResult, FitError> {
     let n = initial.len();
     if n == 0 {
@@ -131,8 +137,15 @@ pub fn levenberg_marquardt(
         });
     }
 
+    // The current point and the candidate each own a parameter, residual
+    // and Jacobian buffer; an accepted step swaps the two sets.
     let mut params = initial.to_vec();
-    let (mut residual, mut jacobian) = model(&params);
+    let mut residual = vec![0.0; residuals];
+    let mut jacobian = Matrix::zeros(residuals, n);
+    let mut candidate = vec![0.0; n];
+    let mut cand_res = vec![0.0; residuals];
+    let mut cand_jac = Matrix::zeros(residuals, n);
+    model(&params, &mut residual, &mut jacobian);
     let mut cost = 0.5 * residual.iter().map(|r| r * r).sum::<f64>();
     if !cost.is_finite() {
         return Err(FitError::InvalidData {
@@ -196,15 +209,17 @@ pub fn levenberg_marquardt(
             }
             let step_norm = step.iter().fold(0.0_f64, |m, s| m.max(s.abs()));
             first_step_norm.get_or_insert(step_norm);
-            let candidate: Vec<f64> = params.iter().zip(&step).map(|(p, s)| p + s).collect();
-            let (cand_res, cand_jac) = model(&candidate);
+            for ((c, p), s) in candidate.iter_mut().zip(&params).zip(&step) {
+                *c = p + s;
+            }
+            model(&candidate, &mut cand_res, &mut cand_jac);
             let cand_cost = 0.5 * cand_res.iter().map(|r| r * r).sum::<f64>();
 
             if cand_cost.is_finite() && cand_cost < cost {
                 let improvement = (cost - cand_cost) / cost.max(f64::MIN_POSITIVE);
-                params = candidate;
-                residual = cand_res;
-                jacobian = cand_jac;
+                std::mem::swap(&mut params, &mut candidate);
+                std::mem::swap(&mut residual, &mut cand_res);
+                std::mem::swap(&mut jacobian, &mut cand_jac);
                 cost = cand_cost;
                 lambda = (lambda / 10.0).max(1e-12);
                 accepted = true;
@@ -279,23 +294,16 @@ mod tests {
             .map(|&x| (x, truth.0 * (-truth.1 * x).exp()))
             .collect();
 
-        let result = levenberg_marquardt(&[1.0, 0.5], LmOptions::default(), |p| {
-            let r: Vec<f64> = data
-                .iter()
-                .map(|&(x, y)| p[0] * (-p[1] * x).exp() - y)
-                .collect();
-            let j = Matrix::from_fn(data.len(), 2, |i, col| {
-                let x = data[i].0;
-                let e = (-p[1] * x).exp();
-                if col == 0 {
-                    e
-                } else {
-                    -p[0] * x * e
+        let result =
+            levenberg_marquardt(&[1.0, 0.5], data.len(), LmOptions::default(), |p, r, j| {
+                for (i, &(x, y)) in data.iter().enumerate() {
+                    let e = (-p[1] * x).exp();
+                    r[i] = p[0] * e - y;
+                    j[(i, 0)] = e;
+                    j[(i, 1)] = -p[0] * x * e;
                 }
-            });
-            (r, j)
-        })
-        .unwrap();
+            })
+            .unwrap();
 
         assert!(result.converged);
         assert!((result.params[0] - truth.0).abs() < 1e-6);
@@ -308,14 +316,15 @@ mod tests {
         // Rosenbrock as a residual problem: r = [10(y − x²), 1 − x].
         let result = levenberg_marquardt(
             &[-1.2, 1.0],
+            2,
             LmOptions {
                 max_iterations: 500,
                 ..LmOptions::default()
             },
-            |p| {
-                let r = vec![10.0 * (p[1] - p[0] * p[0]), 1.0 - p[0]];
-                let j = Matrix::from_rows(&[&[-20.0 * p[0], 10.0], &[-1.0, 0.0]]).unwrap();
-                (r, j)
+            |p, r, j| {
+                r.copy_from_slice(&[10.0 * (p[1] - p[0] * p[0]), 1.0 - p[0]]);
+                j.as_mut_slice()
+                    .copy_from_slice(&[-20.0 * p[0], 10.0, -1.0, 0.0]);
             },
         )
         .unwrap();
@@ -325,7 +334,7 @@ mod tests {
 
     #[test]
     fn rejects_empty_parameters() {
-        let err = levenberg_marquardt(&[], LmOptions::default(), |_| (vec![], Matrix::zeros(1, 1)));
+        let err = levenberg_marquardt(&[], 1, LmOptions::default(), |_, _, _| {});
         assert!(matches!(err, Err(FitError::InvalidData { .. })));
     }
 
@@ -333,10 +342,9 @@ mod tests {
     fn handles_insensitive_parameter() {
         // Second parameter does not influence the residual: JᵀJ is singular,
         // but Marquardt damping with the absolute fallback keeps it solvable.
-        let result = levenberg_marquardt(&[0.0, 5.0], LmOptions::default(), |p| {
-            let r = vec![p[0] - 3.0];
-            let j = Matrix::from_rows(&[&[1.0, 0.0]]).unwrap();
-            (r, j)
+        let result = levenberg_marquardt(&[0.0, 5.0], 1, LmOptions::default(), |p, r, j| {
+            r[0] = p[0] - 3.0;
+            j.as_mut_slice().copy_from_slice(&[1.0, 0.0]);
         })
         .unwrap();
         assert!((result.params[0] - 3.0).abs() < 1e-8);
@@ -347,9 +355,9 @@ mod tests {
     #[test]
     fn nan_initial_cost_is_rejected() {
         // A model that is NaN at the starting point must not "converge".
-        let err = levenberg_marquardt(&[0.0], LmOptions::default(), |p| {
-            let r = vec![if p[0] == 0.0 { f64::NAN } else { p[0] - 1.0 }];
-            (r, Matrix::from_rows(&[&[1.0]]).unwrap())
+        let err = levenberg_marquardt(&[0.0], 1, LmOptions::default(), |p, r, j| {
+            r[0] = if p[0] == 0.0 { f64::NAN } else { p[0] - 1.0 };
+            j[(0, 0)] = 1.0;
         });
         match err {
             Err(FitError::InvalidData { detail }) => {
@@ -361,8 +369,9 @@ mod tests {
 
     #[test]
     fn infinite_initial_cost_is_rejected() {
-        let err = levenberg_marquardt(&[0.0], LmOptions::default(), |_| {
-            (vec![f64::INFINITY], Matrix::from_rows(&[&[1.0]]).unwrap())
+        let err = levenberg_marquardt(&[0.0], 1, LmOptions::default(), |_, r, j| {
+            r[0] = f64::INFINITY;
+            j[(0, 0)] = 1.0;
         });
         assert!(matches!(err, Err(FitError::InvalidData { .. })));
     }
@@ -372,9 +381,9 @@ mod tests {
         // Finite at the start, NaN everywhere else: every candidate step is
         // rejected although the proposed steps are large. The solver must
         // give up honestly instead of claiming a tolerance-based stop.
-        let result = levenberg_marquardt(&[0.0], LmOptions::default(), |p| {
-            let r = vec![if p[0] == 0.0 { 1.0 } else { f64::NAN }];
-            (r, Matrix::from_rows(&[&[1.0]]).unwrap())
+        let result = levenberg_marquardt(&[0.0], 1, LmOptions::default(), |p, r, j| {
+            r[0] = if p[0] == 0.0 { 1.0 } else { f64::NAN };
+            j[(0, 0)] = 1.0;
         })
         .unwrap();
         assert!(!result.converged, "gave-up path must not claim convergence");
@@ -389,9 +398,9 @@ mod tests {
         // the LU tolerance at every achievable λ: all 30 damped solves fail
         // and the documented `FitError::Singular` must surface (previously
         // this was silently reported as converged).
-        let err = levenberg_marquardt(&[1.0], LmOptions::default(), |p| {
-            let r = vec![1e-20 * p[0] - 1.0];
-            (r, Matrix::from_rows(&[&[1e-20]]).unwrap())
+        let err = levenberg_marquardt(&[1.0], 1, LmOptions::default(), |p, r, j| {
+            r[0] = 1e-20 * p[0] - 1.0;
+            j[(0, 0)] = 1e-20;
         });
         assert!(matches!(err, Err(FitError::Singular { .. })), "{err:?}");
     }
@@ -400,9 +409,9 @@ mod tests {
     fn converged_never_pairs_with_nonfinite_cost() {
         // A model that degrades to NaN after improving for a while: whatever
         // the outcome, `converged` must imply a finite cost.
-        let result = levenberg_marquardt(&[10.0], LmOptions::default(), |p| {
-            let r = vec![if p[0].abs() < 5.0 { f64::NAN } else { p[0] }];
-            (r, Matrix::from_rows(&[&[1.0]]).unwrap())
+        let result = levenberg_marquardt(&[10.0], 1, LmOptions::default(), |p, r, j| {
+            r[0] = if p[0].abs() < 5.0 { f64::NAN } else { p[0] };
+            j[(0, 0)] = 1.0;
         })
         .unwrap();
         if result.converged {
@@ -412,10 +421,9 @@ mod tests {
 
     #[test]
     fn already_optimal_start_converges_immediately() {
-        let result = levenberg_marquardt(&[3.0], LmOptions::default(), |p| {
-            let r = vec![p[0] - 3.0];
-            let j = Matrix::from_rows(&[&[1.0]]).unwrap();
-            (r, j)
+        let result = levenberg_marquardt(&[3.0], 1, LmOptions::default(), |p, r, j| {
+            r[0] = p[0] - 3.0;
+            j[(0, 0)] = 1.0;
         })
         .unwrap();
         assert!(result.converged);

@@ -3,7 +3,6 @@
 //! errors or `converged: false` — never as a silent convergence claim.
 
 use pnc_fit::{levenberg_marquardt, FitError, LmOptions};
-use pnc_linalg::Matrix;
 use proptest::prelude::*;
 
 proptest! {
@@ -36,17 +35,13 @@ proptest! {
                 .map(|&(x, y)| (initial[0] * (-initial[1] * x).exp() - y).powi(2))
                 .sum::<f64>();
 
-        let outcome = levenberg_marquardt(&initial, LmOptions::default(), |p| {
-            let r: Vec<f64> = data
-                .iter()
-                .map(|&(x, y)| p[0] * (-p[1] * x).exp() - y)
-                .collect();
-            let j = Matrix::from_fn(data.len(), 2, |i, col| {
-                let x = data[i].0;
+        let outcome = levenberg_marquardt(&initial, data.len(), LmOptions::default(), |p, r, j| {
+            for (i, &(x, y)) in data.iter().enumerate() {
                 let e = (-p[1] * x).exp();
-                if col == 0 { e } else { -p[0] * x * e }
-            });
-            (r, j)
+                r[i] = p[0] * e - y;
+                j[(i, 0)] = e;
+                j[(i, 1)] = -p[0] * x * e;
+            }
         });
 
         match outcome {
@@ -76,9 +71,9 @@ proptest! {
     /// `converged: true`.
     #[test]
     fn nan_wall_never_claims_convergence(start in -3.0..3.0f64) {
-        let result = levenberg_marquardt(&[start], LmOptions::default(), |p| {
-            let r = vec![if p[0] == start { 1.0 } else { f64::NAN }];
-            (r, Matrix::from_rows(&[&[1.0]]).unwrap())
+        let result = levenberg_marquardt(&[start], 1, LmOptions::default(), |p, r, j| {
+            r[0] = if p[0] == start { 1.0 } else { f64::NAN };
+            j[(0, 0)] = 1.0;
         })
         .unwrap();
         prop_assert!(!result.converged);
@@ -90,8 +85,9 @@ proptest! {
     #[test]
     fn nonfinite_start_is_invalid_data(which in 0usize..3) {
         let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][which];
-        let err = levenberg_marquardt(&[0.0], LmOptions::default(), |_| {
-            (vec![bad], Matrix::from_rows(&[&[1.0]]).unwrap())
+        let err = levenberg_marquardt(&[0.0], 1, LmOptions::default(), |_, r, j| {
+            r[0] = bad;
+            j[(0, 0)] = 1.0;
         });
         let is_invalid_data = matches!(err, Err(FitError::InvalidData { .. }));
         prop_assert!(is_invalid_data);
