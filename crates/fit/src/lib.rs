@@ -13,9 +13,10 @@
 //!
 //! * [`Ptanh`] — the curve model with analytic Jacobian,
 //! * [`levenberg_marquardt`] — a generic damped Gauss–Newton solver over any
-//!   residual model,
-//! * [`fit_ptanh`] — the production entry point with data-driven
-//!   initialization and multi-start fallback.
+//!   residual model, which fills solver-owned residual and Jacobian buffers,
+//! * [`fit_ptanh`] — the production entry point. LM runs from a data-driven
+//!   start first; four fallback starts run only when that start does not
+//!   converge, and the lowest-cost run then wins.
 //!
 //! # Examples
 //!
@@ -39,8 +40,8 @@
 //! # Observability
 //!
 //! Completed LM runs and ptanh fits feed the `fit.*` counters and
-//! histograms of `pnc-obs` (iterations, λ escalations, final cost, fit
-//! RMSE) — see `docs/METRICS.md` at the workspace root.
+//! histograms of `pnc-obs` (iterations, λ escalations, fallbacks, final
+//! cost, fit RMSE) — see `docs/METRICS.md` at the workspace root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,6 +11,11 @@
 #      (active) build trains a surrogate at least as accurate on a held-out
 #      slab as the uniform Sobol' build.
 #
+# It also holds one deterministic counter bar on the companion metrics:
+# ptanh fits run their fallback LM starts only when start 0 does not
+# converge, so fit.lm.runs may be at most 1.5x fit.ptanh.fits (running all
+# five starts on every fit gives 5x).
+#
 # The companion metrics summary (BENCH_surrogate_metrics.json) must carry
 # the process.peak_rss_bytes gauge. Run after the `surrogate_stream` bench:
 #
@@ -146,6 +151,24 @@ for name in ("surrogate.stream.chunks", "surrogate.stream.points"):
     if not isinstance(counters.get(name), int) or counters.get(name, 0) <= 0:
         failures.append(f"metrics.counters['{name}']: expected a positive count")
 
+# --- Counter bar: fallback LM starts only where start 0 failed. ---
+fits = counters.get("fit.ptanh.fits")
+runs = counters.get("fit.lm.runs")
+runs_per_fit = None
+if not isinstance(fits, int) or fits <= 0 or not isinstance(runs, int):
+    failures.append(
+        "metrics.counters: expected a positive 'fit.ptanh.fits' and a "
+        "'fit.lm.runs' count"
+    )
+else:
+    runs_per_fit = runs / fits
+    if runs > 1.5 * fits:
+        failures.append(
+            f"metrics.counters: fit.lm.runs {runs} > 1.5 x fit.ptanh.fits "
+            f"{fits} ({runs_per_fit:.2f} runs per fit) — fallback starts "
+            "must run only when start 0 does not converge"
+        )
+
 if failures:
     for line in failures:
         print(f"BENCH SCHEMA: {line}", file=sys.stderr)
@@ -155,6 +178,7 @@ print(
     f"{report_path}: schema ok "
     f"(RSS ratio {ratio:.3f} <= {bar} across {small.get('points')} -> "
     f"{large.get('points')} points; resume bit-identical; active/uniform "
-    f"RMSE {sampling.get('active_vs_uniform'):.3f})"
+    f"RMSE {sampling.get('active_vs_uniform'):.3f}; "
+    f"{runs_per_fit:.3f} LM runs per fit)"
 )
 PY

@@ -33,6 +33,7 @@ const DOCUMENTED_COUNTERS: &[&str] = &[
     "fit.lm.iterations",
     "fit.lm.lambda_escalations",
     "fit.ptanh.fits",
+    "fit.ptanh.fallbacks",
     "surrogate.dataset.points",
     "surrogate.dataset.entries",
 ];
