@@ -1,6 +1,7 @@
 //! Hot-path kernel benchmark: dense matmul throughput, variation-aware
 //! epoch wall time with and without graph/buffer reuse, and modified-Newton
-//! factorization reuse on the paper's Fig. 3 transfer-curve sweep. Results
+//! factorization reuse on the Fig. 1 transfer-curve sweeps of
+//! characterization. Results
 //! go to `BENCH_kernels.json` at the repo root.
 //!
 //! Three sections:
@@ -12,9 +13,11 @@
 //!    thread) on the pre-PR naive path (fresh `Graph` per draw, allocating
 //!    backward and gradient accumulation) vs the reuse path (one graph +
 //!    gradient store recycled via `reset`/`backward_into`/`add_assign`).
-//! 3. **newton** — the Fig. 3 warm-started DC sweep with full-refactor
-//!    Newton vs Jacobian-reuse Newton: iterations, LU factorizations, and
-//!    sweep throughput.
+//! 3. **newton** — characterization traffic: 61-point warm-started DC
+//!    sweeps of the Fig. 1 cell at the first 32 Sobol' designs of Tab. I,
+//!    solved without a cache (full-refactor Newton) and through a
+//!    `NewtonCache` (Jacobian-reuse Newton): iterations, LU
+//!    factorizations, and sweep throughput.
 //!
 //! ```sh
 //! cargo run --release -p pnc-bench --bin kernels -- [--quick]
@@ -25,12 +28,18 @@ use pnc_core::{LossKind, Pnn, PnnConfig};
 use pnc_linalg::{Matrix, ParallelConfig};
 use pnc_spice::circuits::{NonlinearCircuitParams, PtanhCircuit, VDD};
 use pnc_spice::sweep::linspace;
-use pnc_spice::DcSolver;
-use pnc_surrogate::{build_dataset, train_surrogate, DatasetConfig, TrainConfig as STrain};
+use pnc_spice::{Solution, SpiceError};
+use pnc_surrogate::{
+    build_dataset, train_surrogate, DatasetConfig, DesignSpace, TrainConfig as STrain,
+};
 use serde::Serialize;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Sobol' designs swept by the newton section: a characterization-sized
+/// slice of the Tab. I box.
+const NEWTON_DESIGNS: usize = 32;
 
 /// One matrix size's throughput measurement (square `n × n` operands).
 #[derive(Debug, Serialize)]
@@ -75,13 +84,13 @@ struct EpochSection {
 
 #[derive(Debug, Serialize)]
 struct NewtonSection {
-    /// Operating points in the Fig. 3 transfer-curve sweep.
+    /// Operating points per transfer-curve sweep.
     sweep_points: usize,
-    /// Newton iterations of the full-refactor sweep (= its factorizations).
+    /// Newton iterations of the full-refactor sweeps (= their factorizations).
     full_iterations: usize,
-    /// Newton iterations of the Jacobian-reuse sweep.
+    /// Newton iterations of the Jacobian-reuse sweeps.
     reuse_iterations: usize,
-    /// LU factorizations of the Jacobian-reuse sweep.
+    /// LU factorizations of the Jacobian-reuse sweeps.
     reuse_factorizations: usize,
     /// `reuse_iterations / reuse_factorizations` — the reuse win; > 1 means
     /// the factored Jacobian outlives single iterations.
@@ -322,40 +331,66 @@ fn bench_epoch(quick: bool) -> Result<EpochSection, Box<dyn std::error::Error>> 
     })
 }
 
+/// Newton work and throughput of transfer-curve sweeps over `designs`,
+/// each on a freshly built Fig. 1 cell and warm-started point to point:
+/// through one `NewtonCache` per sweep (modified Newton, as
+/// characterization runs them) or point by point without one (classic
+/// Newton, factoring every iteration).
 fn sweep_stats(
-    reuse: bool,
+    cached: bool,
+    designs: &[NonlinearCircuitParams],
     grid: &[f64],
     reps: usize,
 ) -> Result<(usize, usize, f64), Box<dyn std::error::Error>> {
-    let mut ckt = PtanhCircuit::build(&NonlinearCircuitParams::nominal())?;
-    ckt.set_solver(DcSolver {
-        newton_reuse: reuse,
-        ..DcSolver::new()
-    });
+    let sweep_all = || -> Result<Vec<Solution>, SpiceError> {
+        let mut sols = Vec::with_capacity(designs.len() * grid.len());
+        for p in designs {
+            let mut ckt = PtanhCircuit::build(p)?;
+            if cached {
+                sols.extend(ckt.transfer_curve_solutions(grid)?);
+                continue;
+            }
+            let mut c = ckt.circuit().clone();
+            let mut guess: Option<Vec<f64>> = None;
+            for &v in grid {
+                c.set_vsource(ckt.input_source(), v)?;
+                let sol = ckt.solver().solve_with_guess(&c, guess.as_deref())?;
+                guess = Some(sol.voltages()[1..].to_vec());
+                sols.push(sol);
+            }
+        }
+        Ok(sols)
+    };
     let wall_ms = time_best(reps, || {
-        let mut c = ckt.clone();
-        c.transfer_curve_solutions(grid).expect("sweep converges");
+        sweep_all().expect("sweeps converge");
     });
-    let sols = ckt.transfer_curve_solutions(grid)?;
+    let sols = sweep_all()?;
     let iterations = sols.iter().map(|s| s.diagnostics().iterations).sum();
     let factorizations = sols.iter().map(|s| s.diagnostics().factorizations).sum();
     Ok((
         iterations,
         factorizations,
-        grid.len() as f64 / (wall_ms * 1e-3),
+        sols.len() as f64 / (wall_ms * 1e-3),
     ))
 }
 
 fn bench_newton(quick: bool) -> Result<NewtonSection, Box<dyn std::error::Error>> {
-    let points = if quick { 81 } else { 401 };
+    let points = 61;
     let reps = if quick { 2 } else { 5 };
     let grid = linspace(0.0, VDD, points);
-    eprintln!("timing the {points}-point Fig. 3 transfer-curve sweep ...");
+    let designs: Vec<NonlinearCircuitParams> = DesignSpace::paper()
+        .sample(NEWTON_DESIGNS)?
+        .into_iter()
+        .map(NonlinearCircuitParams::from_array)
+        .collect();
+    eprintln!(
+        "timing {NEWTON_DESIGNS} {points}-point Fig. 1 transfer-curve sweeps over Sobol' designs ..."
+    );
     let (full_iterations, full_factorizations, full_points_per_s) =
-        sweep_stats(false, &grid, reps)?;
+        sweep_stats(false, &designs, &grid, reps)?;
     debug_assert_eq!(full_iterations, full_factorizations);
     let (reuse_iterations, reuse_factorizations, reuse_points_per_s) =
-        sweep_stats(true, &grid, reps)?;
+        sweep_stats(true, &designs, &grid, reps)?;
     let iterations_per_factorization =
         reuse_iterations as f64 / (reuse_factorizations.max(1)) as f64;
     eprintln!(

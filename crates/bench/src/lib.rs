@@ -15,9 +15,9 @@
 //! settings (10 seeds, patience 5000, `N_train` = 20, `N_test` = 100 — hours
 //! of CPU time).
 //!
-//! The Criterion benches (`cargo bench --workspace`) measure the substrate
-//! throughput: DC operating points, curve fits, autodiff passes, surrogate
-//! inference and pNN training epochs.
+//! The performance bins (`kernels`, `spice_backends`, `surrogate_stream`,
+//! `infer`, `serving`) each write a `BENCH_*.json` report that a
+//! `scripts/check_bench_*.sh` checker gates in CI.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -24,7 +24,7 @@
 //!
 //! * **`oracle-freeze`** — the registry in `lint_baseline.json` pins
 //!   content hashes of the designated oracle fns (`matmul_reference`,
-//!   `backward_reference`, `newton_dense`); any body edit is a finding
+//!   `backward_reference`, `newton_loop`); any body edit is a finding
 //!   until re-frozen with `update-oracles --justify`.
 //! * **`panic-reachability`** — walks the workspace call graph from every
 //!   `pub` library fn to residual panic sites (including `[]` indexing in

@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 pub const REQUIRED_ORACLES: &[&str] = &[
     "Matrix::matmul_reference",
     "Graph::backward_reference",
-    "DcSolver::newton_dense",
+    "DcSolver::newton_loop",
     "build_dataset_opts",
     "characterize_point",
     "StoreMeta::encode",

@@ -302,6 +302,12 @@ impl PtanhCircuit {
     pub fn circuit(&self) -> &Circuit {
         &self.circuit
     }
+
+    /// The input voltage source of [`Self::circuit`], for callers that
+    /// step the input of their own copy of the netlist.
+    pub fn input_source(&self) -> DeviceId {
+        self.vin
+    }
 }
 
 /// Convenience: the characteristic curve of the circuit parameterized by

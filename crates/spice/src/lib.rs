@@ -86,8 +86,7 @@ pub use backend::{SolverBackend, BACKEND_ENV_VAR};
 pub use egt::{EgtModel, EgtOperatingPoint};
 pub use error::SpiceError;
 pub use mna::{
-    DcSolver, FaultInjection, NewtonCache, RecoveryPolicy, RecoveryRung, Solution,
-    SolveDiagnostics, NEWTON_REUSE_ENV_VAR,
+    DcSolver, FaultInjection, NewtonCache, RecoveryPolicy, RecoveryRung, Solution, SolveDiagnostics,
 };
 pub use netlist::{Circuit, Device, DeviceId, Node, GROUND};
 pub use netlist_io::parse_value;

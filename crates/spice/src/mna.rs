@@ -4,7 +4,6 @@ use pnc_linalg::sparse::{CscMatrix, SparseBuilder, SparseLu};
 use pnc_linalg::{LinalgError, Lu, Matrix};
 use pnc_obs::{Counter, FieldValue, Histogram};
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 // Observability: one record per (possibly recovered) solve, taken at the
 // `solve_recovered` wrapper so plain DC solves, every recovery rung, and
@@ -57,24 +56,6 @@ fn obs_register() {
     });
 }
 
-/// Environment variable gating Jacobian reuse in [`DcSolver`] (see
-/// [`DcSolver::newton_reuse`]). Set to `0`, `off`, or `false` to force
-/// classic full-Newton solves even when a [`NewtonCache`] is supplied.
-pub const NEWTON_REUSE_ENV_VAR: &str = "PNC_NEWTON_REUSE";
-
-/// Process-wide default of [`DcSolver::newton_reuse`], read once from
-/// [`NEWTON_REUSE_ENV_VAR`]; reuse is on unless explicitly disabled.
-fn newton_reuse_default() -> bool {
-    static REUSE: OnceLock<bool> = OnceLock::new();
-    *REUSE.get_or_init(|| match std::env::var(NEWTON_REUSE_ENV_VAR) {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !matches!(v.as_str(), "0" | "off" | "false")
-        }
-        Err(_) => true,
-    })
-}
-
 /// Modified-Newton keeps a stale Jacobian only while each iteration shrinks
 /// the residual to at most this fraction of the previous one; slower
 /// contraction counts as a stall and triggers a refactorization.
@@ -125,15 +106,10 @@ impl NewtonCache {
         self.x_at_factor.clear();
     }
 
-    /// `true` if the held dense factorization can be trusted for a solve of
-    /// dimension `dim` starting from `x`.
-    fn matches(&self, dim: usize, x: &[f64]) -> bool {
-        self.lu.is_some() && self.guess_close(dim, x)
-    }
-
-    /// Sparse-backend counterpart of [`Self::matches`].
-    fn matches_sparse(&self, dim: usize, x: &[f64]) -> bool {
-        self.sparse.as_ref().is_some_and(|lu| lu.dim() == dim) && self.guess_close(dim, x)
+    /// `true` if the factorization held in `F`'s slot can be trusted for a
+    /// solve of dimension `dim` starting from `x`.
+    fn matches<F: MnaLu>(&mut self, dim: usize, x: &[f64]) -> bool {
+        F::slot(self).as_ref().is_some_and(|lu| lu.dim() == dim) && self.guess_close(dim, x)
     }
 
     fn guess_close(&self, dim: usize, x: &[f64]) -> bool {
@@ -203,12 +179,11 @@ pub struct SolveDiagnostics {
     pub attempts: usize,
     /// Jacobian LU factorizations performed across the counted successful
     /// attempts (failed attempts are excluded — their factorization count is
-    /// not recoverable from the error). Classic full Newton factors once per
-    /// iteration; the Jacobian-reuse path ([`DcSolver::newton_reuse`] with a
-    /// [`NewtonCache`]) factors only when contraction stalls, so
-    /// `iterations / factorizations` measures the reuse win. `0` is possible
-    /// when a solve converges entirely on a factorization carried over from
-    /// an earlier warm-started solve.
+    /// not recoverable from the error). An uncached solve factors once per
+    /// iteration; a solve given a [`NewtonCache`] factors only when
+    /// contraction stalls, so `iterations / factorizations` measures the
+    /// reuse win. `0` is possible when a solve converges entirely on a
+    /// factorization carried over from an earlier warm-started solve.
     pub factorizations: usize,
 }
 
@@ -433,13 +408,6 @@ pub struct DcSolver {
     pub recovery: RecoveryPolicy,
     /// Deterministic test-only fault injection; `None` in production.
     pub fault_injection: Option<FaultInjection>,
-    /// Whether solves given a [`NewtonCache`] may keep a stale Jacobian
-    /// factorization across iterations (and warm-started sweep points)
-    /// while the residual contracts geometrically — modified Newton.
-    /// Defaults from the `PNC_NEWTON_REUSE` environment variable
-    /// ([`NEWTON_REUSE_ENV_VAR`]; `0`/`off`/`false` disable, enabled
-    /// otherwise). Solves without a cache always run classic full Newton.
-    pub newton_reuse: bool,
     /// Which algorithm computes the operating point (see [`SolverBackend`]
     /// and `docs/SOLVERS.md`). `None` — the default — resolves the
     /// `PNC_SPICE_BACKEND` environment variable at each solve, so an
@@ -459,7 +427,6 @@ impl Default for DcSolver {
             gmin: 1e-12,
             recovery: RecoveryPolicy::default(),
             fault_injection: None,
-            newton_reuse: newton_reuse_default(),
             backend: None,
         }
     }
@@ -532,13 +499,13 @@ impl DcSolver {
     /// Solves the DC operating point from a warm-start guess while carrying
     /// modified-Newton state in `cache` (see [`NewtonCache`]).
     ///
-    /// With [`DcSolver::newton_reuse`] enabled, the plain Newton loop keeps
-    /// the cached Jacobian factorization while the residual contracts
-    /// geometrically — across its own iterations and across consecutive
-    /// calls whose warm-start point moved little — and refactors only when
-    /// contraction stalls. Convergence criteria are unchanged, so the
-    /// accepted solution satisfies the same residual bound as a full-Newton
-    /// solve. Recovery rungs never use the cache.
+    /// The plain Newton loop runs modified Newton: it keeps the cached
+    /// Jacobian factorization while the residual contracts geometrically —
+    /// across its own iterations and across consecutive calls whose
+    /// warm-start point moved little — and refactors only when contraction
+    /// stalls. Convergence criteria are unchanged, so the accepted solution
+    /// satisfies the same residual bound as a full-Newton solve. Recovery
+    /// rungs never use the cache.
     ///
     /// # Errors
     ///
@@ -883,14 +850,14 @@ impl DcSolver {
     /// below their tolerances, so a stalled damped update is not mistaken
     /// for convergence.
     ///
-    /// With `cache` supplied and [`DcSolver::newton_reuse`] enabled, the
-    /// loop runs modified Newton: the Jacobian factorization is kept while
-    /// the residual contracts geometrically (including a factorization
-    /// carried in from an earlier warm-started solve whose operating point
-    /// is close) and rebuilt only when contraction stalls. The residual is
-    /// always evaluated on the freshly assembled system, so the acceptance
-    /// criteria — and hence the returned solution's accuracy — are
-    /// identical to the full-Newton path.
+    /// With `cache` supplied the loop runs modified Newton: the Jacobian
+    /// factorization is kept while the residual contracts geometrically
+    /// (including a factorization carried in from an earlier warm-started
+    /// solve whose operating point is close) and rebuilt only when
+    /// contraction stalls. The residual is always evaluated on the freshly
+    /// assembled system, so the acceptance criteria — and hence the
+    /// returned solution's accuracy — are identical to the full-Newton
+    /// path.
     pub(crate) fn newton_solve(
         &self,
         circuit: &Circuit,
@@ -941,16 +908,25 @@ impl DcSolver {
         // regardless of backend. `None` only reaches this point via direct
         // internal calls; it means the dense default.
         match self.backend.unwrap_or_default() {
-            SolverBackend::DenseLu => self.newton_dense(circuit, x, cap_state, rung, cache),
-            SolverBackend::SparseLu => self.newton_sparse(circuit, x, cap_state, rung, cache),
+            SolverBackend::DenseLu => self.newton_loop::<Lu>(circuit, x, cap_state, rung, cache),
+            SolverBackend::SparseLu => {
+                self.newton_loop::<SparseLu>(circuit, x, cap_state, rung, cache)
+            }
             SolverBackend::CoordDescent => crate::cd::solve(self, circuit, &x, cap_state, rung),
         }
     }
 
-    /// The dense Newton loop behind [`SolverBackend::DenseLu`]: full dense
-    /// assembly, dense LU per iteration (or modified Newton with `cache`).
-    /// This is the oracle path the other backends are validated against.
-    fn newton_dense(
+    /// The Newton loop behind both LU backends: [`SolverBackend::DenseLu`]
+    /// runs it over [`Lu`], [`SolverBackend::SparseLu`] over [`SparseLu`].
+    /// The dense instantiation is the oracle path the other backends are
+    /// validated against.
+    ///
+    /// Without a cache every iteration factors the freshly assembled
+    /// Jacobian and solves for the next iterate directly (classic Newton).
+    /// With a cache it runs modified Newton in delta form,
+    /// `J_stale·Δ = −F(x)`, refactoring only when the slot is empty or the
+    /// residual stopped contracting geometrically.
+    fn newton_loop<F: MnaLu>(
         &self,
         circuit: &Circuit,
         mut x: Vec<f64>,
@@ -963,35 +939,31 @@ impl DcSolver {
 
         // A factorization carried over from an earlier solve is only
         // trusted when the warm-start point stayed near where it was taken;
-        // otherwise (or with reuse disabled) start cold.
-        let reuse = self.newton_reuse && cache.is_some();
+        // otherwise start cold.
         if let Some(c) = cache.as_deref_mut() {
-            if !reuse || !c.matches(dim, &x) {
+            if !c.matches::<F>(dim, &x) {
                 c.clear();
             }
         }
+        // Factorization slot of an uncached solve: refreshed every
+        // iteration (the sparse backend keeps its symbolic pivot order
+        // across those refreshes) and dropped on return.
+        let mut local: Option<F> = None;
 
         let mut last_update = f64::INFINITY;
         let mut last_residual = f64::INFINITY;
         let mut prev_residual = f64::INFINITY;
         let mut factorizations = 0usize;
+        let mut rhs = vec![0.0; dim];
         let mut f = vec![0.0; dim];
         let mut delta = vec![0.0; dim];
         for iter in 0..=self.max_iterations {
-            let (g, rhs) = self.assemble(circuit, &x, cap_state);
+            let a = F::assemble(self, circuit, &x, cap_state, &mut rhs)?;
 
             // KCL residual of the nonlinear system at x: the companion
             // linearization is exact at its expansion point, so
-            // F(x) = G(x)·x − rhs(x).
-            let mut residual = 0.0_f64;
-            for (i, fi) in f.iter_mut().enumerate() {
-                let mut acc = -rhs[i];
-                for (j, xj) in x.iter().enumerate() {
-                    acc += g[(i, j)] * xj;
-                }
-                *fi = acc;
-                residual = residual.max(acc.abs());
-            }
+            // F(x) = A(x)·x − rhs(x).
+            let residual = F::residual(&a, &x, &rhs, &mut f)?;
             last_residual = residual;
 
             if last_update < self.tolerance && residual < self.residual_tolerance {
@@ -1013,183 +985,34 @@ impl DcSolver {
                 break;
             }
 
-            let mut max_delta = 0.0_f64;
-            if let Some(c) = cache.as_deref_mut().filter(|_| reuse) {
-                // Modified Newton, delta form with a possibly stale
-                // Jacobian: J_stale·Δ = −F(x). Refactor when there is no
-                // factorization yet or the residual stopped contracting
-                // geometrically under the stale one.
-                if c.lu.is_none() || residual > STALL_CONTRACTION * prev_residual {
-                    c.lu = Some(Lu::factor(&g)?);
-                    c.x_at_factor.clear();
-                    c.x_at_factor.extend_from_slice(&x);
+            match cache.as_deref_mut() {
+                Some(c) => {
+                    if F::slot(c).is_none() || residual > STALL_CONTRACTION * prev_residual {
+                        F::refresh(F::slot(c), &a)?;
+                        c.x_at_factor.clear();
+                        c.x_at_factor.extend_from_slice(&x);
+                        factorizations += 1;
+                    }
+                    for fi in f.iter_mut() {
+                        *fi = -*fi;
+                    }
+                    if let Some(lu) = F::slot(c).as_ref() {
+                        lu.solve_into(&f, &mut delta)?;
+                    }
+                }
+                None => {
+                    F::refresh(&mut local, &a)?;
                     factorizations += 1;
-                }
-                for fi in f.iter_mut() {
-                    *fi = -*fi;
-                }
-                if let Some(lu) = c.lu.as_ref() {
-                    lu.solve_into(&f, &mut delta)?;
-                }
-                for (i, d) in delta.iter().enumerate() {
-                    let mut d = *d;
-                    // Only damp node voltages; source branch currents may
-                    // move freely.
-                    if i < n {
-                        d = d.clamp(-self.max_step, self.max_step);
+                    if let Some(lu) = local.as_ref() {
+                        lu.solve_into(&rhs, &mut delta)?;
                     }
-                    x[i] += d;
-                    if i < n {
-                        max_delta = max_delta.max(d.abs());
-                    }
-                }
-            } else {
-                // Classic full Newton: factor every iteration and solve for
-                // the next iterate directly (bitwise-unchanged legacy path).
-                let lu = Lu::factor(&g)?;
-                factorizations += 1;
-                let x_new = lu.solve(&rhs)?;
-
-                // Damped update: limit each voltage step.
-                for i in 0..dim {
-                    let mut delta = x_new[i] - x[i];
-                    // Only damp node voltages; source branch currents may move freely.
-                    if i < n {
-                        delta = delta.clamp(-self.max_step, self.max_step);
-                    }
-                    x[i] += delta;
-                    if i < n {
-                        max_delta = max_delta.max(delta.abs());
+                    for (d, xi) in delta.iter_mut().zip(&x) {
+                        *d -= xi;
                     }
                 }
             }
-            last_update = max_delta;
-            prev_residual = residual;
-        }
 
-        Err(SpiceError::NoConvergence {
-            iterations: self.max_iterations,
-            residual: last_residual,
-        })
-    }
-
-    /// The sparse Newton loop behind [`SolverBackend::SparseLu`]: the same
-    /// damped iteration and acceptance criteria as [`Self::newton_dense`],
-    /// but over compressed-sparse-column assembly with Markowitz-ordered
-    /// sparse LU. Classic Newton refactors numerically every iteration while
-    /// reusing the cached symbolic pivot order; with a [`NewtonCache`] and
-    /// [`DcSolver::newton_reuse`], the numeric factorization is additionally
-    /// kept while the residual contracts geometrically (modified Newton),
-    /// across iterations and warm-started sweep points.
-    fn newton_sparse(
-        &self,
-        circuit: &Circuit,
-        mut x: Vec<f64>,
-        cap_state: Option<(&[f64], f64)>,
-        rung: RecoveryRung,
-        mut cache: Option<&mut NewtonCache>,
-    ) -> Result<Solution, SpiceError> {
-        let n = circuit.num_nodes();
-        let dim = x.len();
-
-        let reuse = self.newton_reuse && cache.is_some();
-        if let Some(c) = cache.as_deref_mut() {
-            if !reuse || !c.matches_sparse(dim, &x) {
-                c.clear();
-            }
-        }
-        // Factorization slot for cache-less solves; dropped on return, but
-        // its symbolic pivot order still serves every refactorization within
-        // this solve.
-        let mut local: Option<SparseLu> = None;
-
-        let mut last_update = f64::INFINITY;
-        let mut last_residual = f64::INFINITY;
-        let mut prev_residual = f64::INFINITY;
-        let mut factorizations = 0usize;
-        let mut f = vec![0.0; dim];
-        let mut delta = vec![0.0; dim];
-        for iter in 0..=self.max_iterations {
-            let (a, rhs) = self.assemble_sparse(circuit, &x, cap_state)?;
-
-            // KCL residual of the nonlinear system at x — the companion
-            // linearization is exact at its expansion point, so
-            // F(x) = A(x)·x − rhs(x), as in the dense path.
-            a.mul_vec(&x, &mut f)?;
-            let mut residual = 0.0_f64;
-            for (fi, r) in f.iter_mut().zip(&rhs) {
-                *fi -= *r;
-                residual = residual.max(fi.abs());
-            }
-            last_residual = residual;
-
-            if last_update < self.tolerance && residual < self.residual_tolerance {
-                let mut voltages = vec![0.0; n + 1];
-                voltages[1..].copy_from_slice(&x[..n]);
-                return Ok(Solution {
-                    voltages,
-                    source_currents: x[n..].to_vec(),
-                    diagnostics: SolveDiagnostics {
-                        iterations: iter,
-                        residual,
-                        rung,
-                        attempts: 1,
-                        factorizations,
-                    },
-                });
-            }
-            if iter == self.max_iterations {
-                break;
-            }
-
-            // Numeric refactorization is skipped only in modified-Newton
-            // mode while the residual keeps contracting geometrically.
-            let stalled = residual > STALL_CONTRACTION * prev_residual;
-            let slot = match cache.as_deref_mut() {
-                Some(c) => &mut c.sparse,
-                None => &mut local,
-            };
-            let refresh = match slot.as_ref() {
-                None => true,
-                Some(lu) => lu.dim() != dim || !reuse || stalled,
-            };
-            if refresh {
-                match slot.as_mut().filter(|lu| lu.dim() == dim) {
-                    Some(lu) => match lu.refactor(&a) {
-                        Ok(()) => OBS_SPARSE_REFACTOR.increment(),
-                        // A pivot order taken at a different operating point
-                        // can go numerically bad; redo the symbolic analysis
-                        // before giving up on the solve.
-                        Err(LinalgError::Singular { .. }) => {
-                            *slot = Some(SparseLu::factor(&a)?);
-                            OBS_SPARSE_SYMBOLIC.increment();
-                        }
-                        Err(e) => return Err(e.into()),
-                    },
-                    None => {
-                        *slot = Some(SparseLu::factor(&a)?);
-                        OBS_SPARSE_SYMBOLIC.increment();
-                    }
-                }
-                factorizations += 1;
-                if let Some(c) = cache.as_deref_mut() {
-                    c.x_at_factor.clear();
-                    c.x_at_factor.extend_from_slice(&x);
-                }
-            }
-
-            // Delta-form step with the (possibly stale) factorization:
-            // J·Δ = −F(x), then the same damping as the dense path.
-            for fi in f.iter_mut() {
-                *fi = -*fi;
-            }
-            let lu = match cache.as_deref() {
-                Some(c) => c.sparse.as_ref(),
-                None => local.as_ref(),
-            };
-            if let Some(lu) = lu {
-                lu.solve_into(&f, &mut delta)?;
-            }
+            // Damped update: limit each voltage step.
             let mut max_delta = 0.0_f64;
             for (i, d) in delta.iter().enumerate() {
                 let mut d = *d;
@@ -1213,179 +1036,29 @@ impl DcSolver {
         })
     }
 
-    /// Sparse counterpart of [`Self::assemble`]: identical stamps pushed
-    /// into a [`SparseBuilder`]. The builder keeps explicit zeros and the
-    /// stamp positions depend only on the netlist topology (never on `x`),
-    /// so the pattern — and with it the cached symbolic pivot order — is
-    /// stable across Newton iterations and same-circuit sweep points.
-    fn assemble_sparse(
-        &self,
-        circuit: &Circuit,
-        x: &[f64],
-        cap_state: Option<(&[f64], f64)>,
-    ) -> Result<(CscMatrix, Vec<f64>), SpiceError> {
-        let n = circuit.num_nodes();
-        let m = circuit.num_vsources();
-        let dim = n + m;
-        let mut b = SparseBuilder::new(dim, dim);
-        let mut rhs = vec![0.0; dim];
-
-        // gmin from every node to ground keeps floating nodes solvable.
-        for i in 0..n {
-            b.push(i, i, self.gmin);
-        }
-
-        // Voltage of a node under the current estimate (ground = 0).
-        let volt = |node: crate::Node| -> f64 {
-            if node.index() == 0 {
-                0.0
-            } else {
-                x[node.index() - 1]
-            }
-        };
-        // Row/col index of a node in the MNA system, None for ground.
-        let idx = |node: crate::Node| -> Option<usize> {
-            if node.index() == 0 {
-                None
-            } else {
-                Some(node.index() - 1)
-            }
-        };
-
-        let mut vsrc_counter = 0usize;
-        for device in circuit.devices() {
-            match device {
-                Device::Resistor {
-                    a,
-                    b: nb,
-                    resistance,
-                } => {
-                    let cond = 1.0 / resistance;
-                    if let Some(i) = idx(*a) {
-                        b.push(i, i, cond);
-                    }
-                    if let Some(j) = idx(*nb) {
-                        b.push(j, j, cond);
-                    }
-                    if let (Some(i), Some(j)) = (idx(*a), idx(*nb)) {
-                        b.push(i, j, -cond);
-                        b.push(j, i, -cond);
-                    }
-                }
-                Device::VSource {
-                    plus,
-                    minus,
-                    voltage,
-                } => {
-                    let k = n + vsrc_counter;
-                    vsrc_counter += 1;
-                    if let Some(i) = idx(*plus) {
-                        b.push(i, k, 1.0);
-                        b.push(k, i, 1.0);
-                    }
-                    if let Some(j) = idx(*minus) {
-                        b.push(j, k, -1.0);
-                        b.push(k, j, -1.0);
-                    }
-                    rhs[k] = *voltage;
-                }
-                Device::Capacitor {
-                    a,
-                    b: nb,
-                    capacitance,
-                } => {
-                    let Some((prev, h)) = cap_state else {
-                        continue; // open circuit in DC analysis
-                    };
-                    let g_c = capacitance / h;
-                    let v_prev = prev[a.index()] - prev[nb.index()];
-                    if let Some(i) = idx(*a) {
-                        b.push(i, i, g_c);
-                        rhs[i] += g_c * v_prev;
-                    }
-                    if let Some(j) = idx(*nb) {
-                        b.push(j, j, g_c);
-                        rhs[j] -= g_c * v_prev;
-                    }
-                    if let (Some(i), Some(j)) = (idx(*a), idx(*nb)) {
-                        b.push(i, j, -g_c);
-                        b.push(j, i, -g_c);
-                    }
-                }
-                Device::ISource { from, to, current } => {
-                    if let Some(i) = idx(*from) {
-                        rhs[i] -= current;
-                    }
-                    if let Some(j) = idx(*to) {
-                        rhs[j] += current;
-                    }
-                }
-                Device::Egt {
-                    drain,
-                    gate,
-                    source,
-                    model,
-                } => {
-                    let vgs = volt(*gate) - volt(*source);
-                    let vds = volt(*drain) - volt(*source);
-                    let op = model.evaluate(vgs, vds);
-                    // Companion model: i_d ≈ i_eq + gm·v_gs + gds·v_ds.
-                    let i_eq = op.id - op.gm * vgs - op.gds * vds;
-
-                    let d = idx(*drain);
-                    let gt = idx(*gate);
-                    let s = idx(*source);
-
-                    // KCL at drain: +i_d leaves the node into the channel.
-                    if let Some(di) = d {
-                        rhs[di] -= i_eq;
-                        if let Some(gi) = gt {
-                            b.push(di, gi, op.gm);
-                        }
-                        b.push(di, di, op.gds);
-                        if let Some(si) = s {
-                            b.push(di, si, -(op.gm + op.gds));
-                        }
-                    }
-                    // KCL at source: −i_d (channel current enters the node).
-                    if let Some(si) = s {
-                        rhs[si] += i_eq;
-                        if let Some(gi) = gt {
-                            b.push(si, gi, -op.gm);
-                        }
-                        if let Some(di) = d {
-                            b.push(si, di, -op.gds);
-                        }
-                        b.push(si, si, op.gm + op.gds);
-                    }
-                    // Gate draws no DC current.
-                }
-            }
-        }
-
-        Ok((b.build()?, rhs))
-    }
-
-    /// Assembles the linearized MNA system `G·x = rhs` at the estimate `x`.
+    /// Stamps the linearized MNA system `G·x = rhs` at the estimate `x`
+    /// into `sink` and `rhs` (which is overwritten).
     ///
     /// With `cap_state = Some((prev_voltages, h))`, capacitors contribute
     /// their backward-Euler companion (conductance `C/h` plus a history
-    /// current); otherwise they are open circuits (DC analysis).
-    fn assemble(
+    /// current); otherwise they are open circuits (DC analysis). Stamp
+    /// positions depend only on the netlist topology, never on `x`, so a
+    /// sparse pattern — and its cached symbolic pivot order — is stable
+    /// across Newton iterations and same-circuit sweep points.
+    fn assemble_into(
         &self,
         circuit: &Circuit,
         x: &[f64],
         cap_state: Option<(&[f64], f64)>,
-    ) -> (Matrix, Vec<f64>) {
+        g: &mut impl Stamp,
+        rhs: &mut [f64],
+    ) {
         let n = circuit.num_nodes();
-        let m = circuit.num_vsources();
-        let dim = n + m;
-        let mut g = Matrix::zeros(dim, dim);
-        let mut rhs = vec![0.0; dim];
+        rhs.fill(0.0);
 
         // gmin from every node to ground keeps floating nodes solvable.
         for i in 0..n {
-            g[(i, i)] += self.gmin;
+            g.add(i, i, self.gmin);
         }
 
         // Voltage of a node under the current estimate (ground = 0).
@@ -1411,14 +1084,14 @@ impl DcSolver {
                 Device::Resistor { a, b, resistance } => {
                     let cond = 1.0 / resistance;
                     if let Some(i) = idx(*a) {
-                        g[(i, i)] += cond;
+                        g.add(i, i, cond);
                     }
                     if let Some(j) = idx(*b) {
-                        g[(j, j)] += cond;
+                        g.add(j, j, cond);
                     }
                     if let (Some(i), Some(j)) = (idx(*a), idx(*b)) {
-                        g[(i, j)] -= cond;
-                        g[(j, i)] -= cond;
+                        g.add(i, j, -cond);
+                        g.add(j, i, -cond);
                     }
                 }
                 Device::VSource {
@@ -1429,12 +1102,12 @@ impl DcSolver {
                     let k = n + vsrc_counter;
                     vsrc_counter += 1;
                     if let Some(i) = idx(*plus) {
-                        g[(i, k)] += 1.0;
-                        g[(k, i)] += 1.0;
+                        g.add(i, k, 1.0);
+                        g.add(k, i, 1.0);
                     }
                     if let Some(j) = idx(*minus) {
-                        g[(j, k)] -= 1.0;
-                        g[(k, j)] -= 1.0;
+                        g.add(j, k, -1.0);
+                        g.add(k, j, -1.0);
                     }
                     rhs[k] = *voltage;
                 }
@@ -1445,16 +1118,16 @@ impl DcSolver {
                     let g_c = capacitance / h;
                     let v_prev = prev[a.index()] - prev[b.index()];
                     if let Some(i) = idx(*a) {
-                        g[(i, i)] += g_c;
+                        g.add(i, i, g_c);
                         rhs[i] += g_c * v_prev;
                     }
                     if let Some(j) = idx(*b) {
-                        g[(j, j)] += g_c;
+                        g.add(j, j, g_c);
                         rhs[j] -= g_c * v_prev;
                     }
                     if let (Some(i), Some(j)) = (idx(*a), idx(*b)) {
-                        g[(i, j)] -= g_c;
-                        g[(j, i)] -= g_c;
+                        g.add(i, j, -g_c);
+                        g.add(j, i, -g_c);
                     }
                 }
                 Device::ISource { from, to, current } => {
@@ -1485,30 +1158,183 @@ impl DcSolver {
                     if let Some(di) = d {
                         rhs[di] -= i_eq;
                         if let Some(gi) = gt {
-                            g[(di, gi)] += op.gm;
+                            g.add(di, gi, op.gm);
                         }
-                        g[(di, di)] += op.gds;
+                        g.add(di, di, op.gds);
                         if let Some(si) = s {
-                            g[(di, si)] -= op.gm + op.gds;
+                            g.add(di, si, -(op.gm + op.gds));
                         }
                     }
                     // KCL at source: −i_d (channel current enters the node).
                     if let Some(si) = s {
                         rhs[si] += i_eq;
                         if let Some(gi) = gt {
-                            g[(si, gi)] -= op.gm;
+                            g.add(si, gi, -op.gm);
                         }
                         if let Some(di) = d {
-                            g[(si, di)] -= op.gds;
+                            g.add(si, di, -op.gds);
                         }
-                        g[(si, si)] += op.gm + op.gds;
+                        g.add(si, si, op.gm + op.gds);
                     }
                     // Gate draws no DC current.
                 }
             }
         }
+    }
+}
 
-        (g, rhs)
+/// Where [`DcSolver::assemble_into`] writes its matrix stamps. Subtracting
+/// a conductance is adding its negation, which is the same IEEE result.
+trait Stamp {
+    fn add(&mut self, i: usize, j: usize, v: f64);
+}
+
+impl Stamp for Matrix {
+    fn add(&mut self, i: usize, j: usize, v: f64) {
+        self[(i, j)] += v;
+    }
+}
+
+/// The builder keeps explicit zeros, so the pattern is topology-only.
+impl Stamp for SparseBuilder {
+    fn add(&mut self, i: usize, j: usize, v: f64) {
+        self.push(i, j, v);
+    }
+}
+
+/// What differs between the LU backends of [`DcSolver::newton_loop`]: the
+/// matrix they assemble into, how they form the residual, how they
+/// (re)factor, and which [`NewtonCache`] slot they keep.
+trait MnaLu: Sized {
+    /// The assembled MNA matrix.
+    type Matrix;
+
+    /// Assembles the system at `x`, writing the right-hand side to `rhs`.
+    fn assemble(
+        solver: &DcSolver,
+        circuit: &Circuit,
+        x: &[f64],
+        cap_state: Option<(&[f64], f64)>,
+        rhs: &mut [f64],
+    ) -> Result<Self::Matrix, SpiceError>;
+
+    /// Writes `F = A·x − rhs` to `f` and returns its infinity norm.
+    fn residual(a: &Self::Matrix, x: &[f64], rhs: &[f64], f: &mut [f64])
+        -> Result<f64, SpiceError>;
+
+    /// Stores a factorization of `a` in `slot`.
+    fn refresh(slot: &mut Option<Self>, a: &Self::Matrix) -> Result<(), SpiceError>;
+
+    /// Solves `A·out = b` with the stored factorization.
+    fn solve_into(&self, b: &[f64], out: &mut [f64]) -> Result<(), SpiceError>;
+
+    /// Dimension of the factored matrix.
+    fn dim(&self) -> usize;
+
+    /// This backend's slot in a [`NewtonCache`].
+    fn slot(cache: &mut NewtonCache) -> &mut Option<Self>;
+}
+
+impl MnaLu for Lu {
+    type Matrix = Matrix;
+
+    fn assemble(
+        solver: &DcSolver,
+        circuit: &Circuit,
+        x: &[f64],
+        cap_state: Option<(&[f64], f64)>,
+        rhs: &mut [f64],
+    ) -> Result<Matrix, SpiceError> {
+        let mut g = Matrix::zeros(rhs.len(), rhs.len());
+        solver.assemble_into(circuit, x, cap_state, &mut g, rhs);
+        Ok(g)
+    }
+
+    fn residual(g: &Matrix, x: &[f64], rhs: &[f64], f: &mut [f64]) -> Result<f64, SpiceError> {
+        let mut residual = 0.0_f64;
+        for (i, fi) in f.iter_mut().enumerate() {
+            let mut acc = -rhs[i];
+            for (j, xj) in x.iter().enumerate() {
+                acc += g[(i, j)] * xj;
+            }
+            *fi = acc;
+            residual = residual.max(acc.abs());
+        }
+        Ok(residual)
+    }
+
+    fn refresh(slot: &mut Option<Self>, g: &Matrix) -> Result<(), SpiceError> {
+        *slot = Some(Lu::factor(g)?);
+        Ok(())
+    }
+
+    fn solve_into(&self, b: &[f64], out: &mut [f64]) -> Result<(), SpiceError> {
+        Ok(Lu::solve_into(self, b, out)?)
+    }
+
+    fn dim(&self) -> usize {
+        Lu::dim(self)
+    }
+
+    fn slot(cache: &mut NewtonCache) -> &mut Option<Self> {
+        &mut cache.lu
+    }
+}
+
+impl MnaLu for SparseLu {
+    type Matrix = CscMatrix;
+
+    fn assemble(
+        solver: &DcSolver,
+        circuit: &Circuit,
+        x: &[f64],
+        cap_state: Option<(&[f64], f64)>,
+        rhs: &mut [f64],
+    ) -> Result<CscMatrix, SpiceError> {
+        let mut b = SparseBuilder::new(rhs.len(), rhs.len());
+        solver.assemble_into(circuit, x, cap_state, &mut b, rhs);
+        Ok(b.build()?)
+    }
+
+    fn residual(a: &CscMatrix, x: &[f64], rhs: &[f64], f: &mut [f64]) -> Result<f64, SpiceError> {
+        a.mul_vec(x, f)?;
+        let mut residual = 0.0_f64;
+        for (fi, r) in f.iter_mut().zip(rhs) {
+            *fi -= *r;
+            residual = residual.max(fi.abs());
+        }
+        Ok(residual)
+    }
+
+    /// Refactors numerically on the held symbolic pivot order; a fresh
+    /// Markowitz analysis runs when there is none of this dimension or the
+    /// held order has gone numerically bad at this operating point.
+    fn refresh(slot: &mut Option<Self>, a: &CscMatrix) -> Result<(), SpiceError> {
+        if let Some(lu) = slot.as_mut().filter(|lu| lu.dim() == a.rows()) {
+            match lu.refactor(a) {
+                Ok(()) => {
+                    OBS_SPARSE_REFACTOR.increment();
+                    return Ok(());
+                }
+                Err(LinalgError::Singular { .. }) => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        *slot = Some(SparseLu::factor(a)?);
+        OBS_SPARSE_SYMBOLIC.increment();
+        Ok(())
+    }
+
+    fn solve_into(&self, b: &[f64], out: &mut [f64]) -> Result<(), SpiceError> {
+        Ok(SparseLu::solve_into(self, b, out)?)
+    }
+
+    fn dim(&self) -> usize {
+        SparseLu::dim(self)
+    }
+
+    fn slot(cache: &mut NewtonCache) -> &mut Option<Self> {
+        &mut cache.sparse
     }
 }
 

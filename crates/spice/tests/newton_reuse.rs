@@ -1,27 +1,33 @@
 //! Jacobian-reuse (modified-Newton) solver contract on the paper's Fig. 3
-//! nonlinear circuits: same accepted solutions as full-refactor Newton —
-//! every point within the solver's residual bound — while factoring the
-//! Jacobian strictly less than once per iteration across a warm-started
-//! transfer-curve sweep.
+//! nonlinear circuits: a cached sweep lands on the same solutions as
+//! uncached full-refactor Newton — every point within the solver's residual
+//! bound — while factoring the Jacobian strictly less than once per
+//! iteration across a warm-started transfer-curve sweep.
 
+mod common;
+
+use common::uncached_sweep;
 use pnc_spice::circuits::{NonlinearCircuitParams, PtanhCircuit};
 use pnc_spice::sweep::linspace;
-use pnc_spice::{DcSolver, NewtonCache, RecoveryRung};
+use pnc_spice::{DcSolver, NewtonCache, RecoveryRung, SolverBackend};
 
-fn fig3_circuit(reuse: bool) -> PtanhCircuit {
+fn fig3_circuit(backend: SolverBackend) -> PtanhCircuit {
     let mut ckt = PtanhCircuit::build(&NonlinearCircuitParams::nominal()).unwrap();
-    ckt.set_solver(DcSolver {
-        newton_reuse: reuse,
-        ..DcSolver::new()
-    });
+    ckt.set_solver(DcSolver::with_backend(backend));
     ckt
 }
 
 #[test]
 fn reuse_sweep_matches_full_refactor_sweep_within_residual_bound() {
     let grid = linspace(0.0, 1.0, 81);
-    let full = fig3_circuit(false).transfer_curve_solutions(&grid).unwrap();
-    let reused = fig3_circuit(true).transfer_curve_solutions(&grid).unwrap();
+    let full = uncached_sweep(
+        &DcSolver::with_backend(SolverBackend::DenseLu),
+        &NonlinearCircuitParams::nominal(),
+        &grid,
+    );
+    let reused = fig3_circuit(SolverBackend::DenseLu)
+        .transfer_curve_solutions(&grid)
+        .unwrap();
     let tol = DcSolver::new().residual_tolerance;
     for (i, (a, b)) in full.iter().zip(&reused).enumerate() {
         // Both paths must satisfy the identical acceptance criterion...
@@ -41,26 +47,37 @@ fn reuse_sweep_matches_full_refactor_sweep_within_residual_bound() {
 #[test]
 fn reuse_sweep_factors_less_than_once_per_iteration() {
     let grid = linspace(0.0, 1.0, 81);
-    let sols = fig3_circuit(true).transfer_curve_solutions(&grid).unwrap();
-    let iterations: usize = sols.iter().map(|s| s.diagnostics().iterations).sum();
-    let factorizations: usize = sols.iter().map(|s| s.diagnostics().factorizations).sum();
-    assert!(
-        sols.iter()
-            .all(|s| s.diagnostics().rung == RecoveryRung::Plain),
-        "the nominal Fig. 3 sweep must not need recovery"
-    );
-    assert!(factorizations > 0, "a cold sweep must factor at least once");
-    assert!(
-        iterations > factorizations,
-        "Jacobian reuse must average more than one iteration per \
-         factorization: {iterations} iterations / {factorizations} factorizations"
-    );
+    for backend in [SolverBackend::DenseLu, SolverBackend::SparseLu] {
+        let sols = fig3_circuit(backend)
+            .transfer_curve_solutions(&grid)
+            .unwrap();
+        let iterations: usize = sols.iter().map(|s| s.diagnostics().iterations).sum();
+        let factorizations: usize = sols.iter().map(|s| s.diagnostics().factorizations).sum();
+        assert!(
+            sols.iter()
+                .all(|s| s.diagnostics().rung == RecoveryRung::Plain),
+            "{backend:?}: the nominal Fig. 3 sweep must not need recovery"
+        );
+        assert!(
+            factorizations > 0,
+            "{backend:?}: a cold sweep must factor at least once"
+        );
+        assert!(
+            iterations > factorizations,
+            "{backend:?}: Jacobian reuse must average more than one iteration per \
+             factorization: {iterations} iterations / {factorizations} factorizations"
+        );
+    }
 }
 
 #[test]
 fn full_newton_factors_exactly_once_per_iteration() {
     let grid = linspace(0.0, 1.0, 31);
-    let sols = fig3_circuit(false).transfer_curve_solutions(&grid).unwrap();
+    let sols = uncached_sweep(
+        &DcSolver::with_backend(SolverBackend::DenseLu),
+        &NonlinearCircuitParams::nominal(),
+        &grid,
+    );
     for (i, s) in sols.iter().enumerate() {
         let d = s.diagnostics();
         assert_eq!(
@@ -71,37 +88,6 @@ fn full_newton_factors_exactly_once_per_iteration() {
 }
 
 #[test]
-fn cache_is_ignored_when_reuse_is_disabled() {
-    // With reuse disabled, solve_with_cache must run the classic path
-    // bitwise-identically to solve_with_guess and leave the cache cold.
-    let ckt = fig3_circuit(false);
-    let solver = ckt.solver().clone();
-    let mut cache = NewtonCache::new();
-    let mut guess: Option<Vec<f64>> = None;
-    let plain = solver
-        .solve_with_guess(ckt.circuit(), guess.as_deref())
-        .unwrap();
-    let cached = solver
-        .solve_with_cache(ckt.circuit(), guess.as_deref(), &mut cache)
-        .unwrap();
-    assert_eq!(plain.voltages(), cached.voltages());
-    assert_eq!(plain.diagnostics(), cached.diagnostics());
-    assert!(!cache.is_warm(), "disabled reuse must never warm the cache");
-    guess = Some(plain.voltages()[1..].to_vec());
-    let warm = solver
-        .solve_with_cache(ckt.circuit(), guess.as_deref(), &mut cache)
-        .unwrap();
-    assert_eq!(
-        warm.voltages(),
-        solver
-            .solve_with_guess(ckt.circuit(), guess.as_deref())
-            .unwrap()
-            .voltages()
-    );
-    assert!(!cache.is_warm());
-}
-
-#[test]
 fn warm_cache_carries_across_close_operating_points() {
     // Consecutive warm-started solves at the same operating point: the
     // cold solve factors (possibly several times, far from the solution);
@@ -109,7 +95,7 @@ fn warm_cache_carries_across_close_operating_points() {
     // cached LU is taken at the operating point itself, so further solves
     // reuse it entirely — zero new factorizations — while still meeting
     // the residual bound.
-    let ckt = fig3_circuit(true);
+    let ckt = fig3_circuit(SolverBackend::DenseLu);
     let solver = ckt.solver().clone();
     let mut cache = NewtonCache::new();
     let first = solver

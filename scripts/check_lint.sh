@@ -35,7 +35,7 @@ fi
 # --- 2. oracle registry completeness ------------------------------------
 for oracle in "Matrix::matmul_reference" \
               "Graph::backward_reference" \
-              "DcSolver::newton_dense" \
+              "DcSolver::newton_loop" \
               "build_dataset_opts" \
               "characterize_point" \
               "StoreMeta::encode" \
