@@ -6,20 +6,24 @@
 //! Three phases:
 //!
 //! 1. **correctness** — every held-out row served through the batching
-//!    server (and once more over the framed-TCP hop) is compared against a
-//!    direct single-sample [`pnc_core::InferencePlan`] call with exact f64
-//!    bit equality. `bit_identical` and `tcp_round_trip` in the report are
-//!    hard floors in `scripts/check_bench_serving.sh`.
-//! 2. **serial** — the single-request-at-a-time server (`max_batch = 1`:
-//!    every dispatch carries exactly one request) under the same 8-client
-//!    concurrent load the batching server faces: the no-coalescing
-//!    baseline throughput and latency.
-//! 3. **load** — the batching server (`max_batch = 32`, zero dwell =
-//!    adaptive drain-what's-queued coalescing, same worker count) hammered
-//!    by concurrent client threads. The headline `batching_speedup`
-//!    (8-client batched throughput over the 8-client one-at-a-time
-//!    baseline) must stay ≥ 1: with everything else equal, coalescing may
-//!    never be slower than one-at-a-time dispatch.
+//!    server is compared against a direct single-sample
+//!    [`pnc_core::InferencePlan`] call with exact f64 bit equality.
+//!    `bit_identical` in the report is a hard floor in
+//!    `scripts/check_bench_serving.sh`.
+//! 2. **tcp** — sequential [`wire::WireClient`] round trips over loopback
+//!    against the same dwelling server, each bit-checked the same way
+//!    (`tcp_round_trip`, another hard floor) and timed. `tcp.rtt_p50_us`
+//!    has a hard 10 ms ceiling: a frame stalled behind Nagle's algorithm
+//!    and a delayed ACK costs up to 40 ms per direction.
+//! 3. **serial vs load** — the single-request-at-a-time server
+//!    (`max_batch = 1`: every dispatch carries exactly one request) and
+//!    the batching server (`max_batch = 32`, zero dwell = adaptive
+//!    drain-what's-queued coalescing, same worker count) under the same
+//!    8-client concurrent load, their reps interleaved so host noise lands
+//!    on both alike; then the batching server under 2 clients. The
+//!    headline `batching_speedup` (8-client batched throughput over the
+//!    8-client one-at-a-time baseline) must stay ≥ 1: with everything else
+//!    equal, coalescing may never be slower than one-at-a-time dispatch.
 //!
 //! The dwell knob trades latency for fuller batches under *open-loop*
 //! traffic; under this benchmark's closed-loop clients (each waits for its
@@ -66,6 +70,17 @@ struct ConfigInfo {
     worker_threads: usize,
 }
 
+/// Sequential round trips over the framed-TCP hop.
+#[derive(Debug, Serialize)]
+struct TcpLatency {
+    /// Round trips made, one at a time on one connection.
+    requests: usize,
+    /// Median round trip (client write → response decoded), microseconds.
+    rtt_p50_us: f64,
+    /// Tail round trip, microseconds.
+    rtt_p99_us: f64,
+}
+
 /// One measured traffic phase.
 #[derive(Debug, Serialize)]
 struct PhaseResult {
@@ -91,13 +106,13 @@ struct Report {
     machine_threads: usize,
     model: ModelInfo,
     config: ConfigInfo,
-    /// The no-batching baseline: one client against a
+    /// The no-batching baseline: 8 clients against a
     /// single-request-at-a-time server.
     serial: PhaseResult,
     /// The batching server under concurrent load, one entry per client
     /// count.
     load: Vec<PhaseResult>,
-    /// Best loaded throughput over the serial baseline — the hard ≥ 1
+    /// 8-client loaded throughput over the serial baseline — the hard ≥ 1
     /// floor: batching may never lose to one-at-a-time serving.
     batching_speedup: f64,
     /// Whether every served response matched the direct single-sample plan
@@ -105,6 +120,8 @@ struct Report {
     bit_identical: bool,
     /// Whether the framed-TCP hop also preserved exact bits.
     tcp_round_trip: bool,
+    /// Round-trip latency over the framed-TCP hop.
+    tcp: TcpLatency,
 }
 
 fn logical_threads() -> usize {
@@ -240,31 +257,37 @@ fn drive_load(
     )
 }
 
-/// Best-of-`reps` [`drive_load`] by completed throughput — the same
-/// best-of-N discipline as the other bench bins' `time_best`: transient
-/// slowdowns (scheduler preemption, noisy neighbors) only ever subtract
-/// throughput, so the max is the stable estimate.
-fn drive_load_best(
+/// Best-of-`reps` [`drive_load`] on each of `servers` by completed
+/// throughput — the same best-of-N discipline as the other bench bins'
+/// `time_best`: transient slowdowns (scheduler preemption, noisy
+/// neighbors) only ever subtract throughput, so the max is the stable
+/// estimate. The reps go round-robin over the servers, so load that
+/// drifts on the host lands on all of them alike rather than on whichever
+/// ran last.
+fn drive_load_best<const N: usize>(
     reps: usize,
-    server: &Arc<Server>,
+    servers: [&Arc<Server>; N],
     rows: &Arc<Vec<Vec<f64>>>,
     reference: &Arc<Vec<Vec<u64>>>,
     client_threads: usize,
     requests_per_client: usize,
-) -> (PhaseResult, bool) {
-    let mut best: Option<PhaseResult> = None;
+) -> ([PhaseResult; N], bool) {
+    let mut best: [Option<PhaseResult>; N] = std::array::from_fn(|_| None);
     let mut identical = true;
     for _ in 0..reps {
-        let (phase, ok) = drive_load(server, rows, reference, client_threads, requests_per_client);
-        identical &= ok;
-        if best
-            .as_ref()
-            .is_none_or(|b| phase.requests_per_s > b.requests_per_s)
-        {
-            best = Some(phase);
+        for (server, best) in servers.iter().zip(&mut best) {
+            let (phase, ok) =
+                drive_load(server, rows, reference, client_threads, requests_per_client);
+            identical &= ok;
+            if best
+                .as_ref()
+                .is_none_or(|b| phase.requests_per_s > b.requests_per_s)
+            {
+                *best = Some(phase);
+            }
         }
     }
-    (best.expect("reps >= 1"), identical)
+    (best.map(|b| b.expect("reps >= 1")), identical)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -344,18 +367,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let reference = Arc::new(single_sample_reference(&artifact, &rows)?);
 
-    // Phase 1: correctness — batched serving and the TCP hop vs direct bits.
+    // Phase 1: correctness — batched serving vs direct bits.
     eprintln!("verifying bit identity through the batching server ...");
     let server = Arc::new(Server::start(&registry, dwell_config));
     let (_, mut bit_identical) = drive_load(&server, &rows, &reference, 4, rows.len());
 
-    eprintln!("verifying bit identity over the framed-TCP hop ...");
+    // Phase 2: the TCP hop — exact bits and round-trip latency.
+    let tcp_requests = if quick { 1_000 } else { 5_000 };
+    eprintln!("{tcp_requests} sequential round trips over the framed-TCP hop ...");
     let tcp = wire::TcpServer::start(Arc::clone(&server), "127.0.0.1:0")?;
     let mut tcp_round_trip = true;
+    let mut rtts_us = Vec::with_capacity(tcp_requests);
     {
         let mut client = wire::WireClient::connect(tcp.local_addr())?;
-        for (i, row) in rows.iter().enumerate() {
-            let scored = client.classify("Iris", row)?;
+        for step in 0..tcp_requests {
+            let i = step % rows.len();
+            let t = Instant::now();
+            let scored = client.classify("Iris", &rows[i])?;
+            rtts_us.push(t.elapsed().as_secs_f64() * 1e6);
             let bits: Vec<u64> = scored.scores.iter().map(|v| v.to_bits()).collect();
             if bits != reference[i] {
                 tcp_round_trip = false;
@@ -364,61 +393,63 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     tcp.shutdown();
     server.shutdown();
-    eprintln!("  in-process: {bit_identical}   tcp: {tcp_round_trip}");
+    rtts_us.sort_by(f64::total_cmp);
+    let tcp_latency = TcpLatency {
+        requests: tcp_requests,
+        rtt_p50_us: percentile(&rtts_us, 50.0),
+        rtt_p99_us: percentile(&rtts_us, 99.0),
+    };
+    eprintln!(
+        "  in-process: {bit_identical}   tcp: {tcp_round_trip}   \
+         rtt p50 {:.1} µs   p99 {:.1} µs",
+        tcp_latency.rtt_p50_us, tcp_latency.rtt_p99_us
+    );
 
-    // Phase 2: the no-coalescing baseline — the same 8-client load against
-    // a server that dispatches exactly one request per batch.
+    // Phase 3: the no-coalescing baseline (a server that dispatches exactly
+    // one request per batch) and the batching server under the same
+    // 8-client load, reps interleaved; then the batching server alone
+    // under 2 clients.
     let requests = if quick { 8_000 } else { 40_000 };
     let load_clients = 8usize;
-    eprintln!(
-        "one-at-a-time baseline, {load_clients} clients × {} requests ...",
-        requests / load_clients
-    );
     let serial_config = ServeConfig {
         max_batch: 1,
         ..load_config.clone()
     };
-    let server = Arc::new(Server::start(&registry, serial_config));
-    let (serial, ok) = drive_load_best(
+    let serial_server = Arc::new(Server::start(&registry, serial_config));
+    let server = Arc::new(Server::start(&registry, load_config.clone()));
+    eprintln!(
+        "one-at-a-time vs batched, {load_clients} clients × {} requests ...",
+        requests / load_clients
+    );
+    let ([serial, batched], ok) = drive_load_best(
         3,
-        &server,
+        [&serial_server, &server],
         &rows,
         &reference,
         load_clients,
         requests / load_clients,
     );
     bit_identical &= ok;
+    serial_server.shutdown();
+    eprintln!("batched run: 2 clients × {} requests ...", requests / 2);
+    let ([pair], ok) = drive_load_best(3, [&server], &rows, &reference, 2, requests / 2);
+    bit_identical &= ok;
     server.shutdown();
-    eprintln!(
-        "  {:.0} req/s   p50 {:.1} µs   p99 {:.1} µs",
-        serial.requests_per_s, serial.p50_us, serial.p99_us
-    );
-
-    // Phase 3: the batching server under the same concurrent load.
-    let server = Arc::new(Server::start(&registry, load_config.clone()));
-    let mut load = Vec::new();
-    for client_threads in [2usize, load_clients] {
-        let per_client = requests / client_threads;
-        eprintln!("batched run: {client_threads} clients × {per_client} requests ...");
-        let (phase, ok) =
-            drive_load_best(3, &server, &rows, &reference, client_threads, per_client);
-        bit_identical &= ok;
+    for (name, phase) in [
+        ("serial", &serial),
+        ("batched", &batched),
+        ("batched", &pair),
+    ] {
         eprintln!(
-            "  {:.0} req/s   p50 {:.1} µs   p99 {:.1} µs   rejected {}",
-            phase.requests_per_s, phase.p50_us, phase.p99_us, phase.rejected
+            "  {name} ×{}: {:.0} req/s   p50 {:.1} µs   p99 {:.1} µs   rejected {}",
+            phase.client_threads, phase.requests_per_s, phase.p50_us, phase.p99_us, phase.rejected
         );
-        load.push(phase);
     }
-    server.shutdown();
 
     // Same client count on both sides of the ratio: coalescing vs
     // one-at-a-time dispatch, everything else equal.
-    let loaded_at_parity = load
-        .iter()
-        .find(|p| p.client_threads == load_clients)
-        .map(|p| p.requests_per_s)
-        .unwrap_or(0.0);
-    let batching_speedup = loaded_at_parity / serial.requests_per_s;
+    let batching_speedup = batched.requests_per_s / serial.requests_per_s;
+    let load = vec![pair, batched];
 
     let report = Report {
         machine_threads: physical_cores(),
@@ -439,6 +470,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         batching_speedup,
         bit_identical,
         tcp_round_trip,
+        tcp: tcp_latency,
     };
     let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serving.json");
     std::fs::write(&out, serde_json::to_string_pretty(&report)?)?;
@@ -453,8 +485,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "batching speedup vs single-request-at-a-time: {:.2}x \
-         (bit-identical: {}, tcp: {})",
-        report.batching_speedup, report.bit_identical, report.tcp_round_trip
+         (bit-identical: {}, tcp: {}, tcp rtt p50 {:.1} µs)",
+        report.batching_speedup, report.bit_identical, report.tcp_round_trip, report.tcp.rtt_p50_us
     );
     Ok(())
 }

@@ -83,12 +83,17 @@ impl WireResponse {
     }
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single `write_all`.
+///
+/// The prefix and payload go out in one buffer: written separately, the
+/// payload would sit behind Nagle's algorithm until the peer's delayed ACK
+/// of the prefix, up to 40 ms per frame.
 ///
 /// # Errors
 ///
 /// Propagates transport failures; rejects payloads over
-/// [`MAX_FRAME_BYTES`] as [`std::io::ErrorKind::InvalidData`].
+/// [`MAX_FRAME_BYTES`] as [`std::io::ErrorKind::InvalidData`] before
+/// writing anything.
 pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(std::io::Error::new(
@@ -96,8 +101,10 @@ pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> std::io::Result<(
             format!("frame of {} bytes exceeds MAX_FRAME_BYTES", payload.len()),
         ));
     }
-    stream.write_all(&(payload.len() as u32).to_be_bytes())?;
-    stream.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    stream.write_all(&frame)?;
     stream.flush()
 }
 
@@ -139,16 +146,16 @@ pub struct WireClient {
 }
 
 impl WireClient {
-    /// Connects to a [`TcpServer`] (or anything speaking the protocol).
+    /// Connects to a [`TcpServer`] (or anything speaking the protocol) and
+    /// sets `TCP_NODELAY`, so each request frame leaves at once.
     ///
     /// # Errors
     ///
-    /// Propagates connection failures.
+    /// Propagates connection and socket-option failures.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<WireClient, ServeError> {
-        Ok(WireClient {
-            stream: TcpStream::connect(addr)?,
-            next_id: 1,
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(WireClient { stream, next_id: 1 })
     }
 
     /// Sends one classification request and blocks for its response,
@@ -266,6 +273,10 @@ impl TcpServer {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
+                // Responses leave at once, as requests do from WireClient.
+                if stream.set_nodelay(true).is_err() {
+                    continue;
+                }
                 let server = Arc::clone(&server);
                 std::thread::spawn(move || handle_connection(&server, stream));
             }
@@ -327,6 +338,43 @@ mod tests {
         );
     }
 
+    /// A `Write` that accepts every byte it is offered and records each
+    /// `write` call's bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_carrying_prefix_and_payload() {
+        let mut sink = CountingWriter::default();
+        write_frame(&mut sink, b"{\"id\":1}").expect("writes");
+        write_frame(&mut sink, b"").expect("writes");
+        assert_eq!(
+            sink.writes,
+            vec![b"\0\0\0\x08{\"id\":1}".to_vec(), b"\0\0\0\0".to_vec()],
+            "a prefix written apart from its payload stalls behind Nagle"
+        );
+    }
+
+    #[test]
+    fn client_connections_set_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = WireClient::connect(listener.local_addr().expect("addr")).expect("connect");
+        assert!(client.stream.nodelay().expect("reads the socket option"));
+    }
+
     #[test]
     fn oversized_length_prefix_is_rejected_without_allocating() {
         let mut raw = Vec::new();
@@ -347,7 +395,12 @@ mod tests {
         };
         let json = serde_json::to_string(&request).expect("serializes");
         let back: WireRequest = serde_json::from_str(&json).expect("parses");
-        assert_eq!(request, back, "f64 bits must survive the JSON hop");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&request.features),
+            bits(&back.features),
+            "f64 bits must survive the JSON hop"
+        );
 
         let response = WireResponse::success(
             42,

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Assert that BENCH_serving.json parses, carries every key the
-# EXPERIMENTS.md schema documents, and holds the three hard guarantees of
+# EXPERIMENTS.md schema documents, and holds the four hard guarantees of
 # the serving layer: every served response was bit-identical to a direct
-# single-sample plan call, the framed-TCP hop preserved those bits, and
+# single-sample plan call, the framed-TCP hop preserved those bits,
 # batched dispatch was at least as fast as one-request-at-a-time dispatch
-# under the same load. Run after the `serving` bench bin:
+# under the same load, and the median framed-TCP round trip stayed under
+# 10 ms (a frame stalled behind Nagle's algorithm and a delayed ACK costs
+# up to 40 ms per direction). Run after the `serving` bench bin:
 #
 #   cargo run --release -p pnc-bench --bin serving -- --quick
 #   scripts/check_bench_serving.sh [REPORT]
@@ -68,6 +70,12 @@ for key in ("max_batch", "max_wait_us", "queue_capacity", "worker_threads"):
 need(report, "serial", "report", dict)
 check_phase(report.get("serial", {}), "serial")
 
+need(report, "tcp", "report", dict)
+tcp = report.get("tcp", {})
+need(tcp, "requests", "tcp", int)
+for key in ("rtt_p50_us", "rtt_p99_us"):
+    need(tcp, key, "tcp", number)
+
 need(report, "load", "report", list)
 load = report.get("load", [])
 if not load:
@@ -78,7 +86,7 @@ for i, phase in enumerate(load):
     else:
         failures.append(f"load[{i}]: expected an object")
 
-# The three hard acceptance bars, beyond pure schema shape.
+# The four hard acceptance bars, beyond pure schema shape.
 if report.get("bit_identical") is not True:
     failures.append(
         "bit_identical: served responses must match direct single-sample plan bits"
@@ -91,6 +99,12 @@ if isinstance(speedup, number) and speedup < 1.0:
         f"batching_speedup: {speedup:.2f} < 1.0 — batched dispatch must not lose "
         "to one-request-at-a-time under the same load"
     )
+rtt_p50 = tcp.get("rtt_p50_us")
+if isinstance(rtt_p50, number) and not rtt_p50 < 10000:
+    failures.append(
+        f"tcp.rtt_p50_us: {rtt_p50:.0f} µs >= 10000 — the framed-TCP hop is "
+        "stalling (Nagle's algorithm and delayed ACKs cost up to 40 ms per direction)"
+    )
 
 if failures:
     for line in failures:
@@ -99,6 +113,7 @@ if failures:
 
 print(
     f"{path}: schema ok "
-    f"(batching {speedup:.2f}x vs one-at-a-time, bit-identical, tcp exact)"
+    f"(batching {speedup:.2f}x vs one-at-a-time, bit-identical, tcp exact, "
+    f"tcp rtt p50 {rtt_p50:.0f} µs)"
 )
 PY
